@@ -101,10 +101,8 @@ class PatternMiner::Impl {
         ctx_(ctx),
         seed_type_(seed_type),
         seed_count_(registry->CountEntitiesOfType(seed_type)) {
-    // The evaluation pool is miner-owned and never shared with window-level
-    // parallelism (WindowSearchOptions::num_threads): candidate tasks call
-    // the relational kernels serially, so no task ever Waits on a pool that
-    // could be running its caller (see relational/morsel.h).
+    // Candidate tasks call the serial relational kernels and never Submit
+    // to this pool, so no task ever Waits on the pool running it.
     if (options.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options.num_threads);
     }
@@ -629,8 +627,7 @@ class PatternMiner::Impl {
 
   std::vector<std::string> frequent_keys_;
   std::vector<uint64_t> frequent_hashes_;  // Fnv1a64 of frequent_keys_[i]
-  /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
-  /// here so it is never shared with window-level pools.
+  /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only).
   std::unique_ptr<ThreadPool> pool_;
 };
 

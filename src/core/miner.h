@@ -91,9 +91,8 @@ struct MinerOptions {
   /// generation run as pure tasks on a miner-owned thread pool (1 = serial,
   /// no pool). Results commit serially in candidate enumeration order, so the
   /// whole-mine output — pattern set, frequencies, stats counters, report
-  /// text — is invariant under this knob. Distinct from
-  /// WindowSearchOptions::num_threads (window-level parallelism); the pools
-  /// are separate, so nesting the two never deadlocks.
+  /// text — is invariant under this knob. This is the only parallelism in
+  /// mining: WindowSearch mines its windows one after another.
   size_t num_threads = 1;
 
   /// When true, MineWindow records a working-set/liveness profile of the

@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace wiclean {
@@ -204,36 +203,20 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       cached_width = width;
     }
 
-    // Frequent-patterns stage, one task per window (§4.3 parallelism).
-    std::vector<Result<MineWindowResult>> window_results(
-        windows.size(), Result<MineWindowResult>(Status::Internal("not run")));
-    if (options_.num_threads > 1 && windows.size() > 1) {
-      ThreadPool pool(options_.num_threads);
-      pool.ParallelFor(windows.size(), [&](size_t i) {
-        auto it = context_cache.find({windows[i].begin, windows[i].end});
-        window_results[i] = miner.MineWindow(
-            seed_type, windows[i],
-            it == context_cache.end() ? nullptr : it->second);
-      });
-    } else {
-      for (size_t i = 0; i < windows.size(); ++i) {
-        auto it = context_cache.find({windows[i].begin, windows[i].end});
-        window_results[i] = miner.MineWindow(
-            seed_type, windows[i],
-            it == context_cache.end() ? nullptr : it->second);
-      }
-    }
-    for (size_t i = 0; i < windows.size(); ++i) {
-      if (window_results[i].ok()) {
-        context_cache[{windows[i].begin, windows[i].end}] =
-            window_results[i].value().context;
-      }
+    // Frequent-patterns stage, one MineWindow call per window. Candidate
+    // evaluation inside each call is parallel at MinerOptions::num_threads.
+    std::vector<MineWindowResult> window_results;
+    window_results.reserve(windows.size());
+    for (const TimeWindow& w : windows) {
+      std::shared_ptr<MiningContext>& cached = context_cache[{w.begin, w.end}];
+      WICLEAN_ASSIGN_OR_RETURN(MineWindowResult mined,
+                               miner.MineWindow(seed_type, w, cached));
+      cached = mined.context;
+      window_results.push_back(std::move(mined));
     }
 
     size_t new_patterns = 0;
-    for (size_t i = 0; i < windows.size(); ++i) {
-      if (!window_results[i].ok()) return window_results[i].status();
-      MineWindowResult& wr = window_results[i].value();
+    for (MineWindowResult& wr : window_results) {
       result.total_stats.Accumulate(wr.stats);
 
       // Validation interleaves with most-specific selection: when a

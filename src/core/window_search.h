@@ -74,10 +74,6 @@ struct WindowSearchOptions {
   bool leverage_validation = true;
   double min_partition_phi = 0.5;
 
-  /// Windows are processed in parallel on this many threads (§4.3: windows
-  /// are non-overlapping, so processing is embarrassingly parallel).
-  size_t num_threads = 1;
-
   /// Early-termination patience: the search stops once this many consecutive
   /// refinement rounds discover nothing new (and something has been found).
   /// The default covers two full window+threshold alternation cycles, so one
@@ -116,7 +112,7 @@ struct WindowSearchResult {
 };
 
 /// Algorithm 2: splits the timeline into non-overlapping windows of the
-/// current width, mines every window (in parallel), and iteratively refines
+/// current width, mines every window, and iteratively refines
 /// (window width, threshold) while refinement keeps discovering new patterns,
 /// within the configured bounds.
 class WindowSearch {

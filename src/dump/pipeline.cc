@@ -2,19 +2,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <utility>
 
-#include "common/annotations.h"
 #include "common/bounded_queue.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "dump/ordered_merger.h"
 
 namespace wiclean {
 namespace {
 
-/// Folds one merged batch into the run counters. Runs inside the ordered
+/// Folds one merged batch into the ingest counters. Runs inside the ordered
 /// merge, so counts are deterministic regardless of worker scheduling.
 void AccumulateStats(const PageActions& batch, IngestStats* stats) {
   stats->quarantined += batch.quarantine.size();
@@ -85,213 +84,16 @@ Result<PageActions> RecoverRegion(PageSource* source, const Status& error,
   return MakeRegionSkip(sequence, error, std::move(region), quarantining);
 }
 
-/// num_threads <= 1: all three stages inline on the calling thread. This is
-/// the exact historical IngestDump loop, kept separate so the default path
-/// spawns no threads and pays no queue or ordering overhead.
-Result<IngestStats> RunSequential(PageSource* source,
-                                  const EntityRegistry& registry,
-                                  ActionSink* sink,
-                                  const IngestOptions& options) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  IngestStats stats;
-  uint64_t sequence = 0;
-  DumpPage page;
-  bool at_end = false;
-  while (!at_end) {
-    Timer read_timer;
-    Result<bool> more = source->Next(&page);
-    stats.read_seconds += read_timer.ElapsedSeconds();
-
-    PageActions batch;
-    if (!more.ok()) {
-      if (!degraded) return more.status();
-      Timer resync_timer;
-      Result<PageActions> skip = RecoverRegion(source, more.status(),
-                                               sequence, quarantining,
-                                               &at_end);
-      stats.read_seconds += resync_timer.ElapsedSeconds();
-      if (!skip.ok()) return skip.status();
-      ++sequence;
-      batch = std::move(skip).value();
-    } else if (!*more) {
-      break;
-    } else {
-      Timer parse_timer;
-      Result<PageActions> parsed =
-          ParsePageActions(page, sequence++, registry, options);
-      stats.parse_seconds += parse_timer.ElapsedSeconds();
-      if (!parsed.ok()) return parsed.status();
-      batch = std::move(parsed).value();
-    }
-
-    Timer merge_timer;
-    AccumulateStats(batch, &stats);
-    Status status = Status::OK();
-    for (const QuarantineRecord& record : batch.quarantine) {
-      status = options.quarantine->Write(record);
-      if (!status.ok()) break;  // losing the quarantine channel is fatal
-    }
-    if (status.ok() && !batch.skipped) {
-      status = sink->Append(std::move(batch));
-    }
-    stats.merge_seconds += merge_timer.ElapsedSeconds();
-    if (!status.ok()) return status;
-  }
-  return stats;
-}
-
-/// One (sequence, page) unit of work handed from the reader to the workers.
-/// Reader-side region skips travel through the same queue as pre-resolved
-/// batches (`resolved` set), so they hold their sequence slot in the merge
-/// without the workers parsing anything.
+/// One (sequence, page) unit of work handed from the reader to the parse
+/// step. Reader-side region skips travel as pre-resolved batches
+/// (`resolved` set), so they hold their sequence slot in the merge without
+/// anything being parsed.
 struct WorkItem {
   uint64_t sequence = 0;
   DumpPage page;
   bool resolved = false;
   PageActions batch;  // final batch when resolved; ignored otherwise
 };
-
-/// Shared state of one parallel run: the reorder buffer, the merged
-/// counters, and the first error. All of it is WC_GUARDED_BY(mu) — the
-/// -Werror=thread-safety build proves every access is locked. Merging into
-/// the sink happens under the lock, which serializes Append calls and
-/// preserves exact source order (the sink sees sequence 0, 1, 2, ... no
-/// matter which worker finished first). The reader thread accumulates its
-/// own read_seconds locally and folds it in once at the end, so the only
-/// cross-thread traffic is through mu (and the relaxed parse counter).
-struct MergeState {
-  Mutex mu;
-  std::map<uint64_t, PageActions> pending
-      WC_GUARDED_BY(mu);                        // finished, not yet mergeable
-  uint64_t next_sequence WC_GUARDED_BY(mu) = 0;  // next batch the sink expects
-  IngestStats stats WC_GUARDED_BY(mu);
-  Status first_error WC_GUARDED_BY(mu);
-  std::atomic<int64_t> parse_micros{0};
-  int64_t merge_micros WC_GUARDED_BY(mu) = 0;
-};
-
-Result<IngestStats> RunParallel(PageSource* source,
-                                const EntityRegistry& registry,
-                                ActionSink* sink,
-                                const IngestOptions& options) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  BoundedQueue<WorkItem> queue(options.queue_capacity);
-  MergeState state;
-
-  // Any stage reporting a failure cancels the queue: a reader blocked on a
-  // full queue wakes up and stops, workers' Pop calls return false and they
-  // drain. Only the first error is kept.
-  auto record_error = [&](Status status) {
-    {
-      MutexLock lock(&state.mu);
-      if (state.first_error.ok()) state.first_error = std::move(status);
-    }
-    queue.Cancel();
-  };
-
-  ThreadPool pool(options.num_threads);
-  for (size_t w = 0; w < options.num_threads; ++w) {
-    pool.Submit([&] {
-      WorkItem item;
-      while (queue.Pop(&item)) {
-        PageActions merged;
-        if (item.resolved) {
-          merged = std::move(item.batch);
-        } else {
-          Timer parse_timer;
-          Result<PageActions> batch =
-              ParsePageActions(item.page, item.sequence, registry, options);
-          state.parse_micros.fetch_add(
-              static_cast<int64_t>(parse_timer.ElapsedSeconds() * 1e6),
-              std::memory_order_relaxed);
-          if (!batch.ok()) {
-            record_error(batch.status());
-            return;
-          }
-          merged = std::move(batch).value();
-        }
-        MutexLock lock(&state.mu);
-        state.pending.emplace(item.sequence, std::move(merged));
-        // Flush the contiguous run now available, in sequence order. Skip
-        // batches pass through the same merge (so counters and quarantine
-        // records land in source order) but never reach the sink.
-        while (!state.pending.empty() && state.first_error.ok()) {
-          auto front = state.pending.begin();
-          if (front->first != state.next_sequence) break;
-          Timer merge_timer;
-          AccumulateStats(front->second, &state.stats);
-          Status status = Status::OK();
-          for (const QuarantineRecord& record : front->second.quarantine) {
-            status = options.quarantine->Write(record);
-            if (!status.ok()) break;  // losing quarantine output is fatal
-          }
-          if (status.ok() && !front->second.skipped) {
-            status = sink->Append(std::move(front->second));
-          }
-          state.merge_micros +=
-              static_cast<int64_t>(merge_timer.ElapsedSeconds() * 1e6);
-          state.pending.erase(front);
-          ++state.next_sequence;
-          if (!status.ok()) {
-            state.first_error = std::move(status);
-            queue.Cancel();
-          }
-        }
-      }
-    });
-  }
-
-  // Stage 1, on the calling thread: pull pages and push them downstream.
-  // Push blocking on a full queue is the backpressure that keeps the reader
-  // at most queue_capacity pages ahead. Under a skip policy a read error is
-  // downgraded to a pre-resolved region-skip item so the stream continues.
-  uint64_t sequence = 0;
-  double read_seconds = 0.0;  // reader-local; folded into stats at the end
-  for (;;) {
-    WorkItem item;
-    Timer read_timer;
-    Result<bool> more = source->Next(&item.page);
-    read_seconds += read_timer.ElapsedSeconds();
-    if (!more.ok()) {
-      if (!degraded) {
-        record_error(more.status());
-        break;
-      }
-      bool at_end = false;
-      Timer resync_timer;
-      Result<PageActions> skip = RecoverRegion(source, more.status(),
-                                               sequence, quarantining,
-                                               &at_end);
-      read_seconds += resync_timer.ElapsedSeconds();
-      if (!skip.ok()) {
-        record_error(skip.status());
-        break;
-      }
-      item.batch = std::move(skip).value();
-      item.sequence = sequence++;
-      item.resolved = true;
-      if (!queue.Push(std::move(item)) || at_end) break;
-      continue;
-    }
-    if (!*more) break;
-    item.sequence = sequence++;
-    if (!queue.Push(std::move(item))) break;  // cancelled by a failed stage
-  }
-  queue.Close();
-  pool.Wait();
-
-  // All workers have drained; take the lock once more to publish the result
-  // (and keep the thread-safety analysis exact rather than suppressed).
-  MutexLock lock(&state.mu);
-  if (!state.first_error.ok()) return state.first_error;
-  state.stats.read_seconds = read_seconds;
-  state.stats.parse_seconds =
-      static_cast<double>(state.parse_micros.load()) / 1e6;
-  state.stats.merge_seconds = static_cast<double>(state.merge_micros) / 1e6;
-  return std::move(state.stats);
-}
 
 }  // namespace
 
@@ -304,10 +106,106 @@ Result<IngestStats> RunIngestPipeline(PageSource* source,
     return Status::InvalidArgument(
         "ErrorPolicy::kQuarantine requires a QuarantineSink");
   }
-  if (options.num_threads <= 1) {
-    return RunSequential(source, registry, sink, options);
+  const bool degraded = options.on_error != ErrorPolicy::kStrict;
+  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
+  OrderedMerger merger(sink, options.quarantine, AccumulateStats);
+  std::atomic<int64_t> parse_nanos{0};
+
+  // The per-item step at every thread count: parse the page (unless the
+  // reader already resolved it) and submit the batch. Returns false once
+  // the run has failed.
+  auto process = [&](WorkItem&& item) {
+    if (!item.resolved) {
+      Timer parse_timer;
+      Result<PageActions> parsed =
+          ParsePageActions(item.page, item.sequence, registry, options);
+      parse_nanos.fetch_add(
+          static_cast<int64_t>(parse_timer.ElapsedSeconds() * 1e9),
+          std::memory_order_relaxed);
+      if (!parsed.ok()) {
+        merger.Fail(parsed.status());
+        return false;
+      }
+      item.batch = std::move(parsed).value();
+    }
+    return merger.Submit(item.sequence, std::move(item.batch));
+  };
+
+  // With N > 1 workers, items reach `process` through a bounded queue whose
+  // Push blocks once the reader is queue_capacity pages ahead. A failed
+  // step cancels the queue, which wakes a blocked reader and drains every
+  // worker. With one thread the reader calls `process` itself.
+  std::unique_ptr<BoundedQueue<WorkItem>> queue;
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    queue = std::make_unique<BoundedQueue<WorkItem>>(options.queue_capacity);
+    pool = std::make_unique<ThreadPool>(options.num_threads);
+    for (size_t w = 0; w < options.num_threads; ++w) {
+      pool->Submit([&] {
+        WorkItem item;
+        while (queue->Pop(&item)) {
+          if (!process(std::move(item))) {
+            queue->Cancel();
+            return;
+          }
+        }
+      });
+    }
   }
-  return RunParallel(source, registry, sink, options);
+  auto hand_off = [&](WorkItem&& item) {
+    return queue == nullptr ? process(std::move(item))
+                            : queue->Push(std::move(item));
+  };
+  auto fail = [&](Status status) {
+    merger.Fail(std::move(status));
+    if (queue != nullptr) queue->Cancel();
+  };
+
+  // The reader, on the calling thread. Under a skip policy a read error is
+  // downgraded to a pre-resolved region-skip item so the stream continues.
+  uint64_t sequence = 0;
+  double read_seconds = 0.0;
+  for (;;) {
+    WorkItem item;
+    Timer read_timer;
+    Result<bool> more = source->Next(&item.page);
+    read_seconds += read_timer.ElapsedSeconds();
+    if (!more.ok()) {
+      if (!degraded) {
+        fail(more.status());
+        break;
+      }
+      bool at_end = false;
+      Timer resync_timer;
+      Result<PageActions> skip = RecoverRegion(source, more.status(),
+                                               sequence, quarantining,
+                                               &at_end);
+      read_seconds += resync_timer.ElapsedSeconds();
+      if (!skip.ok()) {
+        fail(skip.status());
+        break;
+      }
+      item.batch = std::move(skip).value();
+      item.sequence = sequence++;
+      item.resolved = true;
+      if (!hand_off(std::move(item)) || at_end) break;
+      continue;
+    }
+    if (!*more) break;
+    item.sequence = sequence++;
+    if (!hand_off(std::move(item))) break;  // the run has failed
+  }
+  if (queue != nullptr) {
+    queue->Close();
+    pool->Wait();
+  }
+
+  double merge_seconds = 0.0;
+  WICLEAN_ASSIGN_OR_RETURN(IngestStats stats, merger.Finish(&merge_seconds));
+  stats.read_seconds = read_seconds;
+  stats.parse_seconds = static_cast<double>(parse_nanos.load()) / 1e9;
+  stats.merge_seconds = merge_seconds;
+  return stats;
 }
 
 }  // namespace wiclean

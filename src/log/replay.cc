@@ -1,14 +1,12 @@
 #include "log/replay.h"
 
 #include <atomic>
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "dump/ordered_merger.h"
 
 namespace wiclean {
 namespace {
@@ -64,137 +62,6 @@ void AccumulateReplayStats(const PageActions& batch, IngestStats* stats) {
   stats->actions += batch.actions.size();
 }
 
-Result<IngestStats> ReplaySequential(const ActionLogReader& reader,
-                                     ActionSink* sink,
-                                     const ReplayOptions& options,
-                                     const std::vector<size_t>& selected) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  IngestStats stats;
-  for (size_t block : selected) {
-    Timer read_timer;
-    PageActions batch;
-    batch.sequence = block;
-    batch.known_page = true;
-    Status decoded = reader.DecodeBlock(block, &batch.actions);
-    stats.log_read_seconds += read_timer.ElapsedSeconds();
-    if (!decoded.ok()) {
-      if (!degraded) return decoded;
-      batch = MakeBlockSkip(reader, block, decoded, quarantining);
-    }
-
-    Timer replay_timer;
-    AccumulateReplayStats(batch, &stats);
-    Status status = Status::OK();
-    for (const QuarantineRecord& record : batch.quarantine) {
-      status = options.quarantine->Write(record);
-      if (!status.ok()) break;  // losing the quarantine channel is fatal
-    }
-    if (status.ok() && !batch.skipped) {
-      status = sink->Append(std::move(batch));
-    }
-    stats.log_replay_seconds += replay_timer.ElapsedSeconds();
-    if (!status.ok()) return status;
-  }
-  return stats;
-}
-
-/// Shared state of a parallel replay: the reorder buffer keyed by position
-/// in `selected`, the merged counters, and the first error — the same shape
-/// as the ingestion pipeline's MergeState (dump/pipeline.cc), proven
-/// data-race-free by the -Werror=thread-safety build.
-struct ReplayMergeState {
-  Mutex mu;
-  std::map<size_t, PageActions> pending WC_GUARDED_BY(mu);
-  size_t next_position WC_GUARDED_BY(mu) = 0;
-  IngestStats stats WC_GUARDED_BY(mu);
-  Status first_error WC_GUARDED_BY(mu);
-  std::atomic<int64_t> read_micros{0};
-  int64_t replay_micros WC_GUARDED_BY(mu) = 0;
-};
-
-Result<IngestStats> ReplayParallel(const ActionLogReader& reader,
-                                   ActionSink* sink,
-                                   const ReplayOptions& options,
-                                   const std::vector<size_t>& selected) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  ReplayMergeState state;
-  // Work dispensing needs no queue: blocks are already materialized in the
-  // mapped file, so workers pull the next position from a counter and the
-  // reorder buffer bounds skew on its own (a fast worker parks its batch
-  // and moves on).
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-
-  ThreadPool pool(options.num_threads);
-  for (size_t w = 0; w < options.num_threads; ++w) {
-    pool.Submit([&] {
-      for (;;) {
-        if (failed.load(std::memory_order_acquire)) return;
-        const size_t position = next.fetch_add(1, std::memory_order_relaxed);
-        if (position >= selected.size()) return;
-        const size_t block = selected[position];
-
-        Timer read_timer;
-        PageActions batch;
-        batch.sequence = block;
-        batch.known_page = true;
-        Status decoded = reader.DecodeBlock(block, &batch.actions);
-        state.read_micros.fetch_add(
-            static_cast<int64_t>(read_timer.ElapsedSeconds() * 1e6),
-            std::memory_order_relaxed);
-        if (!decoded.ok()) {
-          if (!degraded) {
-            MutexLock lock(&state.mu);
-            if (state.first_error.ok()) state.first_error = decoded;
-            failed.store(true, std::memory_order_release);
-            return;
-          }
-          batch = MakeBlockSkip(reader, block, decoded, quarantining);
-        }
-
-        MutexLock lock(&state.mu);
-        state.pending.emplace(position, std::move(batch));
-        // Flush the contiguous run, in position order — identical to the
-        // sequential replay's visit order.
-        while (!state.pending.empty() && state.first_error.ok()) {
-          auto front = state.pending.begin();
-          if (front->first != state.next_position) break;
-          Timer replay_timer;
-          AccumulateReplayStats(front->second, &state.stats);
-          Status status = Status::OK();
-          for (const QuarantineRecord& record : front->second.quarantine) {
-            status = options.quarantine->Write(record);
-            if (!status.ok()) break;
-          }
-          if (status.ok() && !front->second.skipped) {
-            status = sink->Append(std::move(front->second));
-          }
-          state.replay_micros +=
-              static_cast<int64_t>(replay_timer.ElapsedSeconds() * 1e6);
-          state.pending.erase(front);
-          ++state.next_position;
-          if (!status.ok()) {
-            state.first_error = std::move(status);
-            failed.store(true, std::memory_order_release);
-          }
-        }
-        if (!state.first_error.ok()) return;
-      }
-    });
-  }
-  pool.Wait();
-
-  MutexLock lock(&state.mu);
-  if (!state.first_error.ok()) return state.first_error;
-  state.stats.log_read_seconds =
-      static_cast<double>(state.read_micros.load()) / 1e6;
-  state.stats.log_replay_seconds =
-      static_cast<double>(state.replay_micros) / 1e6;
-  return std::move(state.stats);
-}
-
 }  // namespace
 
 Result<IngestStats> ReplayActionLog(const ActionLogReader& reader,
@@ -214,10 +81,55 @@ Result<IngestStats> ReplayActionLog(const ActionLogReader& reader,
   for (size_t i = 0; i < reader.num_blocks(); ++i) {
     if (Selected(reader.block(i), options)) selected.push_back(i);
   }
+
+  const bool degraded = options.on_error != ErrorPolicy::kStrict;
+  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
+  OrderedMerger merger(sink, options.quarantine, AccumulateReplayStats);
+  std::atomic<int64_t> decode_nanos{0};
+  // Blocks are already materialized in the mapped file, so work dispensing
+  // needs no queue: each replayer pulls the next position from a counter,
+  // decodes that block, and submits it. The merger's reorder buffer absorbs
+  // the skew between replayers. Returns when the blocks run out or the run
+  // has failed.
+  std::atomic<size_t> next{0};
+  auto replay_blocks = [&] {
+    for (;;) {
+      const size_t position = next.fetch_add(1, std::memory_order_relaxed);
+      if (position >= selected.size()) return;
+      const size_t block = selected[position];
+      Timer decode_timer;
+      PageActions batch;
+      batch.sequence = block;
+      batch.known_page = true;
+      Status decoded = reader.DecodeBlock(block, &batch.actions);
+      decode_nanos.fetch_add(
+          static_cast<int64_t>(decode_timer.ElapsedSeconds() * 1e9),
+          std::memory_order_relaxed);
+      if (!decoded.ok()) {
+        if (!degraded) {
+          merger.Fail(std::move(decoded));
+          return;
+        }
+        batch = MakeBlockSkip(reader, block, decoded, quarantining);
+      }
+      if (!merger.Submit(position, std::move(batch))) return;
+    }
+  };
   if (options.num_threads <= 1) {
-    return ReplaySequential(reader, sink, options, selected);
+    replay_blocks();
+  } else {
+    ThreadPool pool(options.num_threads);
+    for (size_t w = 0; w < options.num_threads; ++w) {
+      pool.Submit(replay_blocks);
+    }
+    pool.Wait();
   }
-  return ReplayParallel(reader, sink, options, selected);
+
+  double replay_seconds = 0.0;
+  WICLEAN_ASSIGN_OR_RETURN(IngestStats stats, merger.Finish(&replay_seconds));
+  stats.log_read_seconds = static_cast<double>(decode_nanos.load()) / 1e9;
+  stats.log_replay_seconds = replay_seconds;
+  return stats;
 }
 
 Result<IngestStats> ReplayActionLogFile(const std::string& path,

@@ -1,5 +1,7 @@
 #include "relational/join_hash_table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/hash.h"
 
@@ -8,6 +10,7 @@ namespace wiclean::relational {
 namespace {
 
 constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV-1a offset basis
+constexpr size_t kHashBlockRows = 4096;
 
 size_t PowerOfTwoCapacity(size_t rows) {
   // Load factor <= 0.5 keeps linear-probe runs short.
@@ -24,51 +27,30 @@ void HashRowsForKeys(const Table& t, const std::vector<size_t>& cols,
   const size_t n = t.num_rows();
   hashes->assign(n, kHashSeed);
   if (valid != nullptr) valid->assign(n, 1);
-  HashRowsForKeysRange(t, cols, 0, n, hashes, valid);
-}
-
-void HashRowsForKeysRange(const Table& t, const std::vector<size_t>& cols,
-                          size_t begin, size_t end,
-                          std::vector<uint64_t>* hashes,
-                          std::vector<uint8_t>* valid) {
-  for (size_t r = begin; r < end; ++r) (*hashes)[r] = kHashSeed;
-  if (valid != nullptr) {
-    for (size_t r = begin; r < end; ++r) (*valid)[r] = 1;
-  }
-  for (size_t c : cols) {
-    const Column& col = t.column(c);
-    if (col.type() == DataType::kInt64) {
-      const int64_t* data = col.int64_data().data();
+  // Blocks of rows, all key columns per block: a block's hashes stay in
+  // cache across the column passes.
+  for (size_t begin = 0; begin < n; begin += kHashBlockRows) {
+    const size_t end = std::min(n, begin + kHashBlockRows);
+    for (size_t c : cols) {
+      const Column& col = t.column(c);
       const uint8_t* ok = col.validity().data();
-      for (size_t r = begin; r < end; ++r) {
-        uint64_t cell = ok[r] ? MixInt64(data[r]) : kNullCellHash;
-        (*hashes)[r] = HashCombine((*hashes)[r], cell);
-      }
-      if (valid != nullptr) {
-        for (size_t r = begin; r < end; ++r) (*valid)[r] &= ok[r];
-      }
-    } else {
-      const uint8_t* ok = col.validity().data();
-      for (size_t r = begin; r < end; ++r) {
-        uint64_t cell = ok[r] ? Fnv1a64(col.StringAt(r)) : kNullCellHash;
-        (*hashes)[r] = HashCombine((*hashes)[r], cell);
+      if (col.type() == DataType::kInt64) {
+        const int64_t* data = col.int64_data().data();
+        for (size_t r = begin; r < end; ++r) {
+          uint64_t cell = ok[r] ? MixInt64(data[r]) : kNullCellHash;
+          (*hashes)[r] = HashCombine((*hashes)[r], cell);
+        }
+      } else {
+        for (size_t r = begin; r < end; ++r) {
+          uint64_t cell = ok[r] ? Fnv1a64(col.StringAt(r)) : kNullCellHash;
+          (*hashes)[r] = HashCombine((*hashes)[r], cell);
+        }
       }
       if (valid != nullptr) {
         for (size_t r = begin; r < end; ++r) (*valid)[r] &= ok[r];
       }
     }
   }
-}
-
-void HashRowsForKeysMorsel(const MorselPolicy& policy, const Table& t,
-                           const std::vector<size_t>& cols,
-                           std::vector<uint64_t>* hashes,
-                           std::vector<uint8_t>* valid) {
-  hashes->resize(t.num_rows());
-  if (valid != nullptr) valid->resize(t.num_rows());
-  RunMorsels(policy, t.num_rows(), [&](const Morsel& m) {
-    HashRowsForKeysRange(t, cols, m.begin, m.end, hashes, valid);
-  });
 }
 
 void JoinHashTable::Build(const uint64_t* hashes, const uint8_t* valid,

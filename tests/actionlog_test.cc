@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -300,6 +301,43 @@ TEST(ActionLogDifferentialTest, ReplayIdenticalToDirectIngest) {
       }
     }
   }
+}
+
+/// Records the thread of every Append.
+class ThreadRecordingSink : public ActionSink {
+ public:
+  Status Append(PageActions&&) override {
+    threads_.push_back(std::this_thread::get_id());
+    return Status::OK();
+  }
+  const std::vector<std::thread::id>& threads() const { return threads_; }
+
+ private:
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(ActionLogDifferentialTest, OneThreadIngestAndReplayAppendOnCallerThread) {
+  // At one thread, ingest and replay spawn no thread: every Append runs on
+  // the caller, whose CPU time is then the whole cost of the call.
+  Corpus corpus = MakeCorpus(true, false, false);
+  const std::thread::id caller = std::this_thread::get_id();
+
+  ThreadRecordingSink ingest_sink;
+  std::istringstream in(corpus.xml);
+  XmlPageSource source(&in);
+  ASSERT_TRUE(
+      RunIngestPipeline(&source, *corpus.world.registry, &ingest_sink, {})
+          .ok());
+  ASSERT_FALSE(ingest_sink.threads().empty());
+  for (std::thread::id t : ingest_sink.threads()) EXPECT_EQ(t, caller);
+
+  std::string bytes = IngestToLog(corpus, 1);
+  Result<ActionLogReader> reader = ActionLogReader::FromBytes(bytes);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ThreadRecordingSink replay_sink;
+  ASSERT_TRUE(ReplayActionLog(*reader, &replay_sink, {}).ok());
+  EXPECT_EQ(replay_sink.threads().size(), reader->num_blocks());
+  for (std::thread::id t : replay_sink.threads()) EXPECT_EQ(t, caller);
 }
 
 TEST(ActionLogDifferentialTest, TeeSinkProducesStoreAndLogInOnePass) {

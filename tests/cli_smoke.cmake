@@ -103,6 +103,16 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "mine with bad inputs should fail")
 endif()
 execute_process(
+  COMMAND ${WICLEAN} mine
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --seed-type soccer_player --mine-threads -1
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument.*--mine-threads")
+  message(FATAL_ERROR "--mine-threads -1 should be rejected (rc=${rc}): ${err}")
+endif()
+execute_process(
   COMMAND ${WICLEAN} bogus-subcommand
   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
 if(rc EQUAL 0)

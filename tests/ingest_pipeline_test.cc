@@ -1,6 +1,6 @@
 // Tests for the staged ingestion pipeline (dump/pipeline.h): determinism
-// across worker counts, the in-memory PageSource, custom sinks, and error
-// propagation through the parallel path.
+// across worker counts, the in-memory PageSource, custom sinks, error
+// propagation through the parallel path, and the OrderedMerger it ends in.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dump/ingest.h"
+#include "dump/ordered_merger.h"
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
 #include "revision/revision_store.h"
@@ -218,6 +219,75 @@ TEST(IngestPipelineTest, StageTimingsArePopulated) {
     // ToString carries the stage split for CLI / bench reporting.
     EXPECT_NE(stats->ToString().find("parse="), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// OrderedMerger, driven directly: thread counts cannot force an arrival
+// order, so out-of-order, skipped, and failing batches are submitted by hand.
+
+void CountBatch(const PageActions& batch, IngestStats* stats) {
+  stats->quarantined += batch.quarantine.size();
+  if (batch.skipped) {
+    ++stats->pages_skipped;
+    return;
+  }
+  ++stats->pages;
+  stats->actions += batch.actions.size();
+}
+
+/// Position p carries p actions; positions 1 and 3 are skip batches, each
+/// with one quarantine record naming its position.
+PageActions MergerBatch(uint64_t position) {
+  PageActions batch;
+  batch.sequence = position;
+  if (position == 1 || position == 3) {
+    batch.skipped = true;
+    QuarantineRecord record;
+    record.sequence = position;
+    batch.quarantine.push_back(record);
+  } else {
+    batch.actions.resize(position);
+  }
+  return batch;
+}
+
+TEST(OrderedMergerTest, MergesInPositionOrderAndKeepsTheFirstError) {
+  const uint64_t kArrival[] = {2, 0, 3, 1, 6, 4, 5};
+
+  RecordingSink sink;
+  MemoryQuarantineSink quarantine;
+  OrderedMerger merger(&sink, &quarantine, CountBatch);
+  for (uint64_t p : kArrival) EXPECT_TRUE(merger.Submit(p, MergerBatch(p)));
+  double merge_seconds = -1.0;
+  Result<IngestStats> stats = merger.Finish(&merge_seconds);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(sink.sequences(), (std::vector<uint64_t>{0, 2, 4, 5, 6}));
+  ASSERT_EQ(quarantine.records().size(), 2u);
+  EXPECT_EQ(quarantine.records()[0].sequence, 1u);
+  EXPECT_EQ(quarantine.records()[1].sequence, 3u);
+  EXPECT_EQ(stats->pages, 5u);
+  EXPECT_EQ(stats->pages_skipped, 2u);
+  EXPECT_EQ(stats->quarantined, 2u);
+  EXPECT_EQ(stats->actions, 0u + 2 + 4 + 5 + 6);
+  EXPECT_GE(merge_seconds, 0.0);
+
+  // The sink fails on position 5 while 6 waits in the reorder buffer: 6 is
+  // never appended, and neither a later Fail nor a later Submit replaces
+  // the sink's error.
+  RecordingSink failing_sink(/*fail_at=*/5);
+  MemoryQuarantineSink failing_quarantine;
+  OrderedMerger failing(&failing_sink, &failing_quarantine, CountBatch);
+  for (uint64_t p : {2, 0, 3, 1, 6, 4}) {
+    EXPECT_TRUE(failing.Submit(p, MergerBatch(p)));
+  }
+  EXPECT_FALSE(failing.Submit(5, MergerBatch(5)));
+  failing.Fail(Status::Corruption("reported after the sink failed"));
+  EXPECT_FALSE(failing.Submit(7, MergerBatch(7)));
+  Result<IngestStats> failed = failing.Finish(&merge_seconds);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(failing_sink.sequences(), (std::vector<uint64_t>{0, 2, 4, 5}));
+  EXPECT_EQ(failing_quarantine.records().size(), 2u);
 }
 
 }  // namespace

@@ -132,10 +132,12 @@ TEST_F(WindowSearchTest, ThresholdOnlyPolicySkipsWindowStep) {
 }
 
 TEST_F(WindowSearchTest, ParallelAndSerialAgree) {
+  // Candidate evaluation is mining's only parallelism; a whole search must
+  // find the same patterns at any MinerOptions::num_threads.
   WindowSearchOptions serial = Options();
-  serial.num_threads = 1;
+  serial.miner.num_threads = 1;
   WindowSearchOptions parallel = Options();
-  parallel.num_threads = 4;
+  parallel.miner.num_threads = 4;
 
   WindowSearch s1(world_->registry.get(), &world_->store, serial);
   WindowSearch s2(world_->registry.get(), &world_->store, parallel);

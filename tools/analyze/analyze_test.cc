@@ -279,10 +279,9 @@ TEST(LockPass, FlagsUnguardedAccess) {
 }
 
 TEST(LockPass, FlagsUnguardedMorselClaimCursor) {
-  // Seeded-defect twin of relational::MorselScheduler (see
-  // src/relational/morsel.h): the WC_GUARDED_BY claim cursor is read and
-  // bumped with no lock in Next(), and read after the MutexLock scope closed
-  // in Remaining(). The guarded access inside the MutexLock scope must stay
+  // A claim-cursor scheduler whose WC_GUARDED_BY cursor is read and bumped
+  // with no lock in Next(), and read after the MutexLock scope closed in
+  // Remaining(). The guarded access inside the MutexLock scope must stay
   // clean.
   auto f = RunAllPasses(IndexFixtures({"lock_bad_morsel_counter.cc"}));
   EXPECT_EQ(CountRule(f, "unguarded-access"), 3u) << Render(f);

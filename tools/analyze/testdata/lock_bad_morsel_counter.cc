@@ -1,8 +1,8 @@
-// wican fixture (never compiled): the seeded-defect twin of
-// relational::MorselScheduler. The real scheduler claims morsel indices under
-// its mutex; this version bumps the WC_GUARDED_BY claim cursor with no lock
-// on the fast path and reads it after the lock scope closed. Expected: two
-// unguarded-access findings.
+// wican fixture (never compiled): a work scheduler that hands out morsel
+// indices from a WC_GUARDED_BY claim cursor. A correct scheduler claims under
+// its mutex; this one bumps the cursor with no lock on the fast path and
+// reads it after the lock scope closed. Expected: three unguarded-access
+// findings.
 struct Mutex {
   void Lock();
   void Unlock();
