@@ -10,37 +10,10 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/realization_join.h"
-#include "relational/ops.h"
 
 namespace wiclean {
 
 namespace rel = ::wiclean::relational;
-
-void WorkingSetProfile::Accumulate(const WorkingSetProfile& other) {
-  join_bytes_touched += other.join_bytes_touched;
-  dedup_bytes_touched += other.dedup_bytes_touched;
-  tables_born += other.tables_born;
-  tables_died += other.tables_died;
-  live_bytes += other.live_bytes;
-  peak_live_bytes = std::max(peak_live_bytes, other.peak_live_bytes);
-}
-
-void WorkingSetProfile::Subtract(const WorkingSetProfile& base) {
-  join_bytes_touched -= base.join_bytes_touched;
-  dedup_bytes_touched -= base.dedup_bytes_touched;
-  tables_born -= base.tables_born;
-  tables_died -= base.tables_died;
-  // live_bytes / peak_live_bytes are gauges; keep the current values.
-}
-
-std::string WorkingSetProfile::ToJson() const {
-  return "{\"join_bytes_touched\":" + std::to_string(join_bytes_touched) +
-         ",\"dedup_bytes_touched\":" + std::to_string(dedup_bytes_touched) +
-         ",\"tables_born\":" + std::to_string(tables_born) +
-         ",\"tables_died\":" + std::to_string(tables_died) +
-         ",\"live_bytes\":" + std::to_string(live_bytes) +
-         ",\"peak_live_bytes\":" + std::to_string(peak_live_bytes) + "}";
-}
 
 void MineWindowStats::Accumulate(const MineWindowStats& other) {
   candidates_considered += other.candidates_considered;
@@ -50,7 +23,6 @@ void MineWindowStats::Accumulate(const MineWindowStats& other) {
   frequent_patterns += other.frequent_patterns;
   ingest_seconds += other.ingest_seconds;
   mine_seconds += other.mine_seconds;
-  workingset.Accumulate(other.workingset);
 }
 
 void MineWindowStats::Subtract(const MineWindowStats& base) {
@@ -58,7 +30,6 @@ void MineWindowStats::Subtract(const MineWindowStats& base) {
   actions_ingested -= base.actions_ingested;
   ingest_seconds -= base.ingest_seconds;
   mine_seconds -= base.mine_seconds;
-  workingset.Subtract(base.workingset);
   // entities_ingested / abstract_actions / frequent_patterns are level
   // gauges, not counters; keep the current values.
 }
@@ -72,6 +43,29 @@ std::string MineWindowStats::ToString() const {
 }
 
 namespace {
+
+/// Cap on the variables of one pattern (max_pattern_actions caps actions).
+constexpr size_t kMaxPatternVars = 7;
+
+/// Realization tables of evaluated patterns below this frequency are
+/// discarded after the frequency is computed (the cached frequency remains).
+/// Tables are only ever re-joined for *admitted* patterns, so MineWindow and
+/// MineRelative reject admission thresholds below this floor. Bounds the
+/// memory of wide-window, low-threshold rounds.
+constexpr double kRealizationCacheMinFrequency = 0.1;
+
+Status CheckAdmissionFloor(double admission, const char* what) {
+  if (admission >= kRealizationCacheMinFrequency) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(what) + " " + std::to_string(admission) +
+      " is below the realization cache floor " +
+      std::to_string(kRealizationCacheMinFrequency));
+}
+
+RealizationJoinFn SelectJoin(JoinEngineKind engine) {
+  return engine == JoinEngineKind::kHashJoin ? &JoinRealizations
+                                             : &NestedLoopJoinRealizations;
+}
 
 /// Mining realization tables carry one int64 column per pattern variable
 /// ("v0".."vN") plus the realization's running time span ("tmin", "tmax").
@@ -93,11 +87,13 @@ rel::Schema RealizationSchema(size_t num_vars) {
 class PatternMiner::Impl {
  public:
   Impl(const EntityRegistry* registry, const RevisionStore* store,
-       const MinerOptions& options, MiningContext* ctx, TypeId seed_type)
+       const MinerOptions& options, RealizationJoinFn join, MiningContext* ctx,
+       TypeId seed_type)
       : registry_(registry),
         taxonomy_(&registry->taxonomy()),
         store_(store),
         options_(options),
+        join_(join),
         ctx_(ctx),
         seed_type_(seed_type),
         seed_count_(registry->CountEntitiesOfType(seed_type)) {
@@ -183,6 +179,8 @@ class PatternMiner::Impl {
           "relative mining base pattern was not evaluated in this context");
     }
     double admission = rel_threshold * it->second.frequency;
+    WICLEAN_RETURN_IF_ERROR(
+        CheckAdmissionFloor(admission, "relative admission threshold"));
     std::vector<std::string> admitted = {base_key};
     std::vector<uint64_t> admitted_hashes = {Fnv1a64(base_key)};
     std::unordered_set<uint64_t> local_tested;
@@ -214,7 +212,6 @@ class PatternMiner::Impl {
     rel::Table realization{rel::Schema()};
     size_t support = 0;
     bool computed = false;
-    WorkingSetProfile touched;  // per-task profile shard, merged at commit
   };
 
   /// Fixpoint expansion pass: grows `admitted_keys` (a worklist of pattern
@@ -331,10 +328,6 @@ class PatternMiner::Impl {
           int64_t st = src.column(2).Int64At(r);
           if (su != sv) realization.AppendInt64Row({su, sv, st, st});
         }
-        if (options_.profile_workingset) {
-          ctx_->stats.workingset.dedup_bytes_touched +=
-              realization.ApproxBytes();
-        }
         realization = DedupKeepTightest(realization, 2);
         cached = RecordEvaluation(std::move(key), std::move(p),
                                   std::move(realization));
@@ -372,24 +365,23 @@ class PatternMiner::Impl {
       if (p.var_type(i) != entry.key.source_type) continue;
 
       // No-parallel-edges constraint: skip extensions that would repeat an
-      // (op, relation) pair out of the same variable.
-      if (!options_.allow_parallel_edges) {
-        bool parallel = false;
-        for (const AbstractAction& a : p.actions()) {
-          if (a.source_var == i && a.op == entry.key.op &&
-              a.relation == entry.key.relation) {
-            parallel = true;
-            break;
-          }
+      // (op, relation) pair out of the same variable. None of the paper's
+      // example patterns repeats an (op, relation) pair from one variable.
+      bool parallel = false;
+      for (const AbstractAction& a : p.actions()) {
+        if (a.source_var == i && a.op == entry.key.op &&
+            a.relation == entry.key.relation) {
+          parallel = true;
+          break;
         }
-        if (parallel) continue;
       }
+      if (parallel) continue;
 
       // Option A: introduce a fresh target variable.
       bool fresh_seed_var_blocked =
           !options_.allow_multiple_seed_vars && has_seed_var &&
           taxonomy_->Comparable(entry.key.target_type, seed_type_);
-      if (p.num_vars() < options_.max_pattern_vars &&
+      if (p.num_vars() < kMaxPatternVars &&
           !fresh_seed_var_blocked) {
         out->push_back(ExtensionCandidate{&base, &entry, i, -1});
       }
@@ -412,22 +404,19 @@ class PatternMiner::Impl {
 
   /// Pure evaluation of one extension candidate: builds the extended
   /// pattern, computes its realization table by joining the base realization
-  /// with the action realization, and counts seed support. Reads the
-  /// evaluation cache (no writes happen while tasks run) and shared
-  /// immutable tables only, so any number of these run concurrently. The PM
-  /// path runs the fused JoinRealizations operator (join + span recompute +
-  /// prune + dedup in one pass, no wide join materialized); PM−join keeps
-  /// the unfused nested-loop pipeline as the §6 ablation baseline.
+  /// with the action realization (join + span recompute + prune + dedup, on
+  /// the engine MinerOptions::join_engine selects), and counts seed support.
+  /// Reads the evaluation cache (no writes happen while tasks run) and shared
+  /// immutable tables only, so any number of these run concurrently.
   Status EvaluateCandidate(const ExtensionCandidate& c,
                            CandidateResult* out) const {
     const MiningContext::PatternState& base = *c.base;
     const AbstractActionEntry& entry = *c.entry;
-    const int glue_source = c.glue_source;
-    const int glue_target = c.glue_target;
     Pattern extended = base.pattern;
-    int target_var =
-        glue_target >= 0 ? glue_target : extended.AddVar(entry.key.target_type);
-    WICLEAN_RETURN_IF_ERROR(extended.AddAction(entry.key.op, glue_source,
+    int target_var = c.glue_target >= 0
+                         ? c.glue_target
+                         : extended.AddVar(entry.key.target_type);
+    WICLEAN_RETURN_IF_ERROR(extended.AddAction(entry.key.op, c.glue_source,
                                                entry.key.relation,
                                                target_var));
 
@@ -437,75 +426,26 @@ class PatternMiner::Impl {
       return Status::OK();
     }
     const size_t n = base.pattern.num_vars();
-    const size_t new_vars = glue_target < 0 ? n + 1 : n;
-    rel::Table realization(rel::Schema{});
-    if (options_.join_engine == JoinEngineKind::kHashJoin) {
-      RealizationJoinSpec rspec;
-      rspec.num_left_vars = n;
-      rspec.glue_source_col = static_cast<size_t>(glue_source);
-      rspec.glue_target_col = glue_target;
-      if (glue_target < 0) {
-        // Fresh variable: must bind an entity distinct from every variable
-        // it could share a binding with (types on one taxonomy path).
-        for (size_t k = 0; k < n; ++k) {
-          if (taxonomy_->Comparable(base.pattern.var_type(static_cast<int>(k)),
-                                    entry.key.target_type)) {
-            rspec.distinct_from_target.push_back(k);
-          }
+    RealizationJoinSpec rspec;
+    rspec.num_left_vars = n;
+    rspec.glue_source_col = static_cast<size_t>(c.glue_source);
+    rspec.glue_target_col = c.glue_target;
+    if (c.glue_target < 0) {
+      // Fresh variable: must bind an entity distinct from every variable
+      // it could share a binding with (types on one taxonomy path).
+      for (size_t k = 0; k < n; ++k) {
+        if (taxonomy_->Comparable(base.pattern.var_type(static_cast<int>(k)),
+                                  entry.key.target_type)) {
+          rspec.distinct_from_target.push_back(k);
         }
       }
-      rspec.max_span = options_.max_realization_span;
-      rspec.dedup_keep_tightest = true;
-      if (options_.profile_workingset) {
-        out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
-                                           entry.realizations.ApproxBytes();
-      }
-      WICLEAN_ASSIGN_OR_RETURN(
-          realization,
-          JoinRealizations(base.realizations, entry.realizations,
-                           RealizationSchema(new_vars), rspec));
-    } else {
-      rel::JoinSpec spec;
-      spec.equal_cols.push_back(
-          {static_cast<size_t>(glue_source), 0});  // pattern var = action u
-      if (glue_target >= 0) {
-        spec.equal_cols.push_back({static_cast<size_t>(glue_target), 1});
-      } else {
-        for (size_t k = 0; k < n; ++k) {
-          if (taxonomy_->Comparable(base.pattern.var_type(static_cast<int>(k)),
-                                    entry.key.target_type)) {
-            spec.not_equal_cols.push_back({k, 1});
-          }
-        }
-      }
-      if (options_.profile_workingset) {
-        out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
-                                           entry.realizations.ApproxBytes();
-      }
-      WICLEAN_ASSIGN_OR_RETURN(
-          rel::Table joined,
-          rel::NestedLoopJoin(base.realizations, entry.realizations, spec));
-      // Joined layout: v0..v(n-1), tmin, tmax, u, v, t. Recompute the
-      // span, prune realizations wider than any reportable pattern window,
-      // and keep the tightest witness per variable assignment.
-      realization = rel::Table(RealizationSchema(new_vars));
-      std::vector<int64_t> row(new_vars + 2);
-      for (size_t r = 0; r < joined.num_rows(); ++r) {
-        int64_t t = joined.column(n + 4).Int64At(r);
-        int64_t tmin = std::min(joined.column(n).Int64At(r), t);
-        int64_t tmax = std::max(joined.column(n + 1).Int64At(r), t);
-        if (tmax - tmin > options_.max_realization_span) continue;
-        for (size_t c = 0; c < n; ++c) row[c] = joined.column(c).Int64At(r);
-        if (glue_target < 0) row[n] = joined.column(n + 3).Int64At(r);  // v
-        row[new_vars] = tmin;
-        row[new_vars + 1] = tmax;
-        realization.AppendInt64Row(row);
-      }
-      if (options_.profile_workingset) {
-        out->touched.dedup_bytes_touched += realization.ApproxBytes();
-      }
-      realization = DedupKeepTightest(realization, new_vars);
     }
+    rspec.max_span = options_.max_realization_span;
+    rspec.dedup_keep_tightest = true;
+    WICLEAN_ASSIGN_OR_RETURN(
+        rel::Table realization,
+        join_(base.realizations, entry.realizations,
+              RealizationSchema(extended.num_vars()), rspec));
     out->support =
         CountDistinctSeedSources(realization, extended.source_var());
     out->pattern = std::move(extended);
@@ -526,7 +466,6 @@ class PatternMiner::Impl {
     auto it = ctx_->evaluated.find(res->key);
     if (it == ctx_->evaluated.end()) {
       WICLEAN_CHECK(res->computed);
-      ctx_->stats.workingset.Accumulate(res->touched);
       it = RecordEvaluated(std::move(res->key), std::move(res->pattern),
                            std::move(res->realization), res->support);
     }
@@ -556,17 +495,7 @@ class PatternMiner::Impl {
             ? 0.0
             : static_cast<double>(state.support) / seed_count_;
     state.pattern = std::move(pattern);
-    if (options_.profile_workingset) {
-      WorkingSetProfile& ws = ctx_->stats.workingset;
-      ++ws.tables_born;
-      if (state.frequency >= options_.realization_cache_min_frequency) {
-        ws.live_bytes += realization.ApproxBytes();
-        ws.peak_live_bytes = std::max(ws.peak_live_bytes, ws.live_bytes);
-      } else {
-        ++ws.tables_died;  // evicted immediately by the cache floor
-      }
-    }
-    if (state.frequency >= options_.realization_cache_min_frequency) {
+    if (state.frequency >= kRealizationCacheMinFrequency) {
       state.realizations = std::move(realization);
     }
     return ctx_->evaluated.emplace(std::move(key), std::move(state)).first;
@@ -620,6 +549,7 @@ class PatternMiner::Impl {
   const TypeTaxonomy* taxonomy_;
   const RevisionStore* store_;
   const MinerOptions& options_;
+  const RealizationJoinFn join_;
   MiningContext* ctx_;
   TypeId seed_type_;
   size_t seed_count_;
@@ -633,7 +563,10 @@ class PatternMiner::Impl {
 
 PatternMiner::PatternMiner(const EntityRegistry* registry,
                            const RevisionStore* store, MinerOptions options)
-    : registry_(registry), store_(store), options_(options) {}
+    : registry_(registry),
+      store_(store),
+      options_(options),
+      join_(SelectJoin(options.join_engine)) {}
 
 Result<MineWindowResult> PatternMiner::MineWindow(
     TypeId seed_type, const TimeWindow& window,
@@ -653,6 +586,8 @@ Result<MineWindowResult> PatternMiner::MineWindow(
     return Status::InvalidArgument(
         "reused mining context belongs to a different window");
   }
+  WICLEAN_RETURN_IF_ERROR(CheckAdmissionFloor(options_.frequency_threshold,
+                                              "frequency threshold"));
 
   MineWindowResult result;
   result.context =
@@ -661,28 +596,22 @@ Result<MineWindowResult> PatternMiner::MineWindow(
           : std::make_shared<MiningContext>(registry_, store_, window,
                                             options_);
   MineWindowStats baseline = result.context->stats;
-  Impl impl(registry_, store_, options_, result.context.get(), seed_type);
+  Impl impl(registry_, store_, options_, join_, result.context.get(),
+            seed_type);
   WICLEAN_RETURN_IF_ERROR(impl.MineFrequent());
 
   // Collect every frequent pattern, then filter to the most specific ones
   // (Definition 3.3) among them.
-  std::vector<const MiningContext::PatternState*> frequent;
+  std::vector<const Pattern*> frequent;
   for (const std::string& key : impl.frequent_keys()) {
-    frequent.push_back(&result.context->evaluated.at(key));
+    const MiningContext::PatternState& state =
+        result.context->evaluated.at(key);
+    frequent.push_back(&state.pattern);
+    result.all_frequent.push_back(
+        MinedPattern{state.pattern, window, state.frequency, state.support});
   }
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
-  for (const MiningContext::PatternState* state : frequent) {
-    MinedPattern mp{state->pattern, window, state->frequency, state->support};
-    result.all_frequent.push_back(mp);
-    bool dominated = false;
-    for (const MiningContext::PatternState* other : frequent) {
-      if (other == state) continue;
-      if (IsStrictSpecializationOf(other->pattern, state->pattern, taxonomy)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) result.most_specific.push_back(std::move(mp));
+  for (size_t i : MostSpecificPatterns(frequent, registry_->taxonomy())) {
+    result.most_specific.push_back(result.all_frequent[i]);
   }
   result.stats = result.context->stats;
   result.stats.Subtract(baseline);
@@ -760,79 +689,27 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
       acc = rel::Table(acc.schema());
       break;
     }
-    bool fresh = var_col[a.target_var] < 0;
-    if (options_.join_engine == JoinEngineKind::kHashJoin) {
-      // Fused join + span recompute; no span prune or dedup here — fixed
-      // patterns keep every realization so the window search sees all spans.
-      RealizationJoinSpec rspec;
-      rspec.num_left_vars = bound_vars;
-      rspec.glue_source_col = static_cast<size_t>(var_col[a.source_var]);
-      rspec.glue_target_col = fresh ? -1 : var_col[a.target_var];
-      if (fresh) {
-        for (size_t k = 0; k < pattern.num_vars(); ++k) {
-          if (var_col[k] < 0 || static_cast<int>(k) == a.target_var) continue;
-          if (taxonomy.Comparable(pattern.var_type(static_cast<int>(k)),
-                                  pattern.var_type(a.target_var))) {
-            rspec.distinct_from_target.push_back(
-                static_cast<size_t>(var_col[k]));
-          }
-        }
-      }
-      const size_t new_bound = bound_vars + (fresh ? 1 : 0);
-      WICLEAN_ASSIGN_OR_RETURN(
-          rel::Table next,
-          JoinRealizations(acc, *ra, make_schema(new_bound), rspec));
-      if (fresh) {
-        var_col[a.target_var] = static_cast<int>(bound_vars);
-        ++bound_vars;
-      }
-      acc = std::move(next);
-      continue;
-    }
-
-    // PM−join ablation: materialized nested-loop join + row-at-a-time span
-    // recompute.
-    rel::JoinSpec spec;
-    spec.equal_cols.push_back({static_cast<size_t>(var_col[a.source_var]), 0});
-    if (!fresh) {
-      spec.equal_cols.push_back(
-          {static_cast<size_t>(var_col[a.target_var]), 1});
-    } else {
+    // Join + span recompute; no span prune or dedup here — fixed patterns
+    // keep every realization so the window search sees all spans.
+    const bool fresh = var_col[a.target_var] < 0;
+    RealizationJoinSpec rspec;
+    rspec.num_left_vars = bound_vars;
+    rspec.glue_source_col = static_cast<size_t>(var_col[a.source_var]);
+    rspec.glue_target_col = fresh ? -1 : var_col[a.target_var];
+    if (fresh) {
       for (size_t k = 0; k < pattern.num_vars(); ++k) {
         if (var_col[k] < 0 || static_cast<int>(k) == a.target_var) continue;
         if (taxonomy.Comparable(pattern.var_type(static_cast<int>(k)),
                                 pattern.var_type(a.target_var))) {
-          spec.not_equal_cols.push_back(
-              {static_cast<size_t>(var_col[k]), 1});
+          rspec.distinct_from_target.push_back(
+              static_cast<size_t>(var_col[k]));
         }
       }
-    }
-    Result<rel::Table> joined = rel::NestedLoopJoin(acc, *ra, spec);
-    WICLEAN_RETURN_IF_ERROR(joined.status());
-
-    const size_t lhs_width = acc.num_columns();     // bound_vars + 2
-    const size_t span_col = bound_vars;             // tmin position in acc
-    if (fresh) {
       var_col[a.target_var] = static_cast<int>(bound_vars);
       ++bound_vars;
     }
-    rel::Table next(make_schema(bound_vars));
-    std::vector<int64_t> row(bound_vars + 2);
-    for (size_t r = 0; r < joined->num_rows(); ++r) {
-      for (size_t c = 0; c < span_col; ++c) {
-        row[c] = joined->column(c).Int64At(r);
-      }
-      if (fresh) {
-        row[bound_vars - 1] = joined->column(lhs_width + 1).Int64At(r);  // v
-      }
-      int64_t t = joined->column(lhs_width + 2).Int64At(r);
-      row[bound_vars] =
-          std::min(joined->column(span_col).Int64At(r), t);      // tmin
-      row[bound_vars + 1] =
-          std::max(joined->column(span_col + 1).Int64At(r), t);  // tmax
-      next.AppendInt64Row(row);
-    }
-    acc = std::move(next);
+    WICLEAN_ASSIGN_OR_RETURN(acc,
+                             join_(acc, *ra, make_schema(bound_vars), rspec));
   }
 
   std::vector<RealizationSpan> spans;
@@ -931,7 +808,7 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   if (rel_threshold <= 0 || rel_threshold > 1) {
     return Status::InvalidArgument("relative threshold must be in (0, 1]");
   }
-  Impl impl(registry_, store_, options_, context, seed_type);
+  Impl impl(registry_, store_, options_, join_, context, seed_type);
   std::string base_key = base.pattern.CanonicalKey();
   WICLEAN_ASSIGN_OR_RETURN(std::vector<std::string> admitted,
                            impl.MineRelativeFrom(base_key, rel_threshold));
@@ -940,20 +817,14 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   const double base_frequency = context->evaluated.at(base_key).frequency;
 
   // Most specific relatively-frequent refinements.
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
-  std::vector<RelativePattern> out;
+  std::vector<const Pattern*> patterns;
   for (const std::string& key : admitted) {
-    const auto& state = context->evaluated.at(key);
-    bool dominated = false;
-    for (const std::string& other_key : admitted) {
-      if (other_key == key) continue;
-      if (IsStrictSpecializationOf(context->evaluated.at(other_key).pattern,
-                                   state.pattern, taxonomy)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) continue;
+    patterns.push_back(&context->evaluated.at(key).pattern);
+  }
+  std::vector<RelativePattern> out;
+  for (size_t i : MostSpecificPatterns(patterns, registry_->taxonomy())) {
+    const MiningContext::PatternState& state =
+        context->evaluated.at(admitted[i]);
     RelativePattern rp;
     rp.pattern = state.pattern;
     rp.frequency = state.frequency;

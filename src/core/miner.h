@@ -11,6 +11,7 @@
 #include "common/hash.h"
 #include "core/action_index.h"
 #include "core/pattern.h"
+#include "core/realization_join.h"
 #include "graph/entity_registry.h"
 #include "relational/table.h"
 #include "revision/revision_store.h"
@@ -48,44 +49,28 @@ struct MinerOptions {
   /// patterns that now need to be examined becomes larger").
   int max_abstraction_lift = 1;
 
-  /// Growth caps; patterns in the paper's domains have up to ~6 actions.
+  /// Growth cap; patterns in the paper's domains have up to ~6 actions.
   size_t max_pattern_actions = 5;
-  size_t max_pattern_vars = 7;
 
-  /// Structural constraints that keep the search seed-focused. Both default
-  /// to off (= constrained), which is what the paper's reported output
+  /// Structural constraint that keeps the search seed-focused. Off (=
+  /// constrained) by default, which is what the paper's reported output
   /// implies even though its pattern definition technically admits more:
-  ///
-  /// allow_multiple_seed_vars: when false, a pattern may contain only one
-  /// variable whose type is comparable to the seed type. Without this, dense
-  /// fan-in relations (a club's squad lists a dozen players) make "the club
-  /// also signed *another* player" patterns frequent, and their ever-more-
-  /// specific chains dominate every real pattern.
+  /// when false, a pattern may contain only one variable whose type is
+  /// comparable to the seed type. Without this, dense fan-in relations (a
+  /// club's squad lists a dozen players) make "the club also signed
+  /// *another* player" patterns frequent, and their ever-more-specific chains
+  /// dominate every real pattern.
   bool allow_multiple_seed_vars = false;
-
-  /// allow_parallel_edges: when false, a pattern may not contain two actions
-  /// with the same (source variable, op, relation). None of the paper's
-  /// example patterns repeats an (op, relation) pair from one variable.
-  bool allow_parallel_edges = false;
 
   /// Maximum time span a single realization may cover (max action time −
   /// min action time). Realizations wider than this are pruned during
   /// expansion: a pattern is only ever *reported* with a window of at most
-  /// WindowSearchOptions::max_pattern_window (the paper's windows are "hours
-  /// to months"), so realizations that cannot fit any reportable window are
-  /// dead weight — and, at wide ladder windows, they are precisely the
-  /// combinatorial conjunctions of unrelated events whose lattice otherwise
-  /// explodes the search.
+  /// eight weeks (kMaxPatternWindow in window_search.cc; the paper's windows
+  /// are "hours to months"), so realizations that cannot fit any reportable
+  /// window are dead weight — and, at wide ladder windows, they are
+  /// precisely the combinatorial conjunctions of unrelated events whose
+  /// lattice otherwise explodes the search.
   Timestamp max_realization_span = 8 * kSecondsPerWeek;
-
-  /// Realization tables of evaluated patterns below this frequency are
-  /// discarded after the frequency is computed (the cached frequency
-  /// remains). Tables are only ever re-joined for *admitted* patterns, and
-  /// every admission threshold in the system (absolute ladders bottom out at
-  /// 0.2; relative admissions at rel_threshold * base frequency) stays above
-  /// this floor — lower it if you run with more permissive thresholds.
-  /// Bounds the memory of wide-window, low-threshold rounds.
-  double realization_cache_min_frequency = 0.1;
 
   /// Mining-internal parallelism: candidate evaluations within one expansion
   /// generation run as pure tasks on a miner-owned thread pool (1 = serial,
@@ -94,13 +79,6 @@ struct MinerOptions {
   /// text — is invariant under this knob. This is the only parallelism in
   /// mining: WindowSearch mines its windows one after another.
   size_t num_threads = 1;
-
-  /// When true, MineWindow records a working-set/liveness profile of the
-  /// mining loop (approximate bytes touched per kernel family plus
-  /// realization-table birth/death and live/peak-byte counters) in
-  /// MineWindowStats::workingset. Off by default: the byte accounting adds a
-  /// small cost per kernel call.
-  bool profile_workingset = false;
 };
 
 /// A frequent pattern discovered in one window.
@@ -119,25 +97,6 @@ struct RelativePattern {
   size_t support = 0;
 };
 
-/// Working-set/liveness profile of the mining loop, populated when
-/// MinerOptions::profile_workingset is set. Byte figures are
-/// Table::ApproxBytes estimates of kernel *inputs* (what a pass over the
-/// call's operands reads), not allocator truth.
-struct WorkingSetProfile {
-  size_t join_bytes_touched = 0;   // fused/nested join inputs read
-  size_t dedup_bytes_touched = 0;  // standalone dedup inputs read
-  size_t tables_born = 0;          // realization tables materialized
-  size_t tables_died = 0;          // dropped below the realization cache floor
-  size_t live_bytes = 0;           // resident realization bytes (gauge)
-  size_t peak_live_bytes = 0;      // high-water mark of live_bytes
-
-  void Accumulate(const WorkingSetProfile& other);
-  /// Subtracts a baseline snapshot of the counters; the live/peak gauges keep
-  /// their current values.
-  void Subtract(const WorkingSetProfile& base);
-  std::string ToJson() const;
-};
-
 /// Counters for one MineWindow call (and the small-data candidate experiment).
 struct MineWindowStats {
   size_t candidates_considered = 0;  // patterns whose frequency was evaluated
@@ -147,8 +106,6 @@ struct MineWindowStats {
   size_t frequent_patterns = 0;
   double ingest_seconds = 0;  // reduced_and_abstract_actions time
   double mine_seconds = 0;    // expansion + frequency evaluation time
-  /// Populated only when MinerOptions::profile_workingset is set.
-  WorkingSetProfile workingset;
 
   void Accumulate(const MineWindowStats& other);
   /// Subtracts a baseline snapshot (for incremental reporting).
@@ -229,6 +186,10 @@ class PatternMiner {
   /// paper's "caching of the computed frequencies/realization tables, to be
   /// reused if the same patterns are later re-examined with different
   /// thresholds". Stats in the result cover only the incremental work.
+  ///
+  /// Fails with InvalidArgument when options().frequency_threshold is below
+  /// the realization cache floor (0.1): the realization tables of patterns
+  /// below the floor are evicted, so such a pattern cannot be expanded.
   [[nodiscard]] Result<MineWindowResult> MineWindow(
       TypeId seed_type, const TimeWindow& window,
       std::shared_ptr<MiningContext> reuse = nullptr) const;
@@ -279,7 +240,8 @@ class PatternMiner {
   /// Definition 3.5: mines the most specific *relatively* frequent
   /// refinements of `base` (which must be a pattern found by the MineWindow
   /// call that produced `context`). Expansion continues from base's cached
-  /// realization with admission threshold rel_threshold * frequency(base).
+  /// realization with admission threshold rel_threshold * frequency(base),
+  /// which must not fall below the realization cache floor (0.1).
   [[nodiscard]] Result<std::vector<RelativePattern>> MineRelative(
       MiningContext* context, TypeId seed_type, const MinedPattern& base,
       double rel_threshold) const;
@@ -290,6 +252,8 @@ class PatternMiner {
   const EntityRegistry* registry_;
   const RevisionStore* store_;
   MinerOptions options_;
+  /// The realization-join engine options_.join_engine selects.
+  RealizationJoinFn join_;
 };
 
 }  // namespace wiclean

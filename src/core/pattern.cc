@@ -333,19 +333,19 @@ Result<std::vector<size_t>> PatternTraversalOrder(const Pattern& pattern) {
   return order;
 }
 
-std::vector<Pattern> MostSpecificPatterns(const std::vector<Pattern>& patterns,
-                                          const TypeTaxonomy& taxonomy) {
-  std::vector<Pattern> out;
+std::vector<size_t> MostSpecificPatterns(
+    const std::vector<const Pattern*>& patterns, const TypeTaxonomy& taxonomy) {
+  std::vector<size_t> out;
   for (size_t i = 0; i < patterns.size(); ++i) {
     bool dominated = false;
     for (size_t j = 0; j < patterns.size(); ++j) {
       if (i == j) continue;
-      if (IsStrictSpecializationOf(patterns[j], patterns[i], taxonomy)) {
+      if (IsStrictSpecializationOf(*patterns[j], *patterns[i], taxonomy)) {
         dominated = true;
         break;
       }
     }
-    if (!dominated) out.push_back(patterns[i]);
+    if (!dominated) out.push_back(i);
   }
   return out;
 }

@@ -115,9 +115,10 @@ bool IsStrictSpecializationOf(const Pattern& specific, const Pattern& general,
                               const TypeTaxonomy& taxonomy);
 
 /// Filters `patterns` down to the most specific ones (Definition 3.3): keeps
-/// p iff no other element is a strict specialization of p. Preserves order.
-std::vector<Pattern> MostSpecificPatterns(const std::vector<Pattern>& patterns,
-                                          const TypeTaxonomy& taxonomy);
+/// p iff no other element is a strict specialization of p. Returns the
+/// indices of the kept elements, in ascending order.
+std::vector<size_t> MostSpecificPatterns(
+    const std::vector<const Pattern*>& patterns, const TypeTaxonomy& taxonomy);
 
 /// Builds the sub-pattern containing exactly the given actions (indices into
 /// pattern.actions()), with variables renumbered to the referenced subset.

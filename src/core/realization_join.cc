@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/hash.h"
 #include "relational/join_hash_table.h"
+#include "relational/ops.h"
 
 namespace wiclean {
 
@@ -17,6 +18,7 @@ constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV-1a offset basis
 
 Status ValidateRealizationInputs(const rel::Table& left,
                                  const rel::Table& right,
+                                 const rel::Schema& schema,
                                  const RealizationJoinSpec& spec) {
   if (left.num_columns() != spec.num_left_vars + 2) {
     return Status::InvalidArgument(
@@ -47,6 +49,12 @@ Status ValidateRealizationInputs(const rel::Table& left,
       return Status::InvalidArgument("distinct_from_target column out of range");
     }
   }
+  const size_t out_vars =
+      spec.num_left_vars + (spec.glue_target_col < 0 ? 1 : 0);
+  if (schema.num_fields() != out_vars + 2) {
+    return Status::InvalidArgument(
+        "output schema width != output vars + tmin + tmax");
+  }
   return Status::OK();
 }
 
@@ -56,15 +64,12 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
                                     const rel::Table& right,
                                     rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
-  WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
+  WICLEAN_RETURN_IF_ERROR(
+      ValidateRealizationInputs(left, right, schema, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
   const bool dedup_on = spec.dedup_keep_tightest;
   const size_t out_vars = n + (fresh ? 1 : 0);
-  if (schema.num_fields() != out_vars + 2) {
-    return Status::InvalidArgument(
-        "output schema width != output vars + tmin + tmax");
-  }
   WICLEAN_CHECK(left.num_rows() < rel::kNoRow &&
                 right.num_rows() < rel::kNoRow);
 
@@ -186,6 +191,45 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   tmax_col.AppendInt64Bulk(tmaxs);
   cols.push_back(std::move(tmax_col));
   return rel::Table::FromColumns(std::move(schema), std::move(cols));
+}
+
+Result<rel::Table> NestedLoopJoinRealizations(const rel::Table& left,
+                                              const rel::Table& right,
+                                              rel::Schema schema,
+                                              const RealizationJoinSpec& spec) {
+  WICLEAN_RETURN_IF_ERROR(
+      ValidateRealizationInputs(left, right, schema, spec));
+  const size_t n = spec.num_left_vars;
+  const bool fresh = spec.glue_target_col < 0;
+  const size_t out_vars = n + (fresh ? 1 : 0);
+  rel::JoinSpec join;
+  join.equal_cols.push_back({spec.glue_source_col, 0});  // pattern var = u
+  if (fresh) {
+    for (size_t k : spec.distinct_from_target) {
+      join.not_equal_cols.push_back({k, 1});
+    }
+  } else {
+    join.equal_cols.push_back({static_cast<size_t>(spec.glue_target_col), 1});
+  }
+  WICLEAN_ASSIGN_OR_RETURN(rel::Table joined,
+                           rel::NestedLoopJoin(left, right, join));
+
+  // Joined layout: v0..v(n-1), tmin, tmax, u, v, t.
+  rel::Table out(std::move(schema));
+  std::vector<int64_t> row(out_vars + 2);
+  for (size_t r = 0; r < joined.num_rows(); ++r) {
+    const int64_t t = joined.column(n + 4).Int64At(r);
+    const int64_t tmin = std::min(joined.column(n).Int64At(r), t);
+    const int64_t tmax = std::max(joined.column(n + 1).Int64At(r), t);
+    if (tmax - tmin > spec.max_span) continue;
+    for (size_t c = 0; c < n; ++c) row[c] = joined.column(c).Int64At(r);
+    if (fresh) row[n] = joined.column(n + 3).Int64At(r);  // v
+    row[out_vars] = tmin;
+    row[out_vars + 1] = tmax;
+    out.AppendInt64Row(row);
+  }
+  if (spec.dedup_keep_tightest) return DedupKeepTightest(out, out_vars);
+  return out;
 }
 
 rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {

@@ -50,6 +50,21 @@ struct RealizationJoinSpec {
     const relational::Table& left, const relational::Table& right,
     relational::Schema schema, const RealizationJoinSpec& spec);
 
+/// The PM−join baseline of the same step (§6.2 "conventional main memory
+/// nested loop"): rel::NestedLoopJoin materializes the wide join, then a
+/// row-at-a-time pass recomputes spans and prunes, then DedupKeepTightest
+/// runs when `spec.dedup_keep_tightest` is set. Same arguments, validation
+/// and output as JoinRealizations, row for row.
+[[nodiscard]] Result<relational::Table> NestedLoopJoinRealizations(
+    const relational::Table& left, const relational::Table& right,
+    relational::Schema schema, const RealizationJoinSpec& spec);
+
+/// Signature shared by the two realization-join engines, so a caller picks
+/// one once and makes the same call either way.
+using RealizationJoinFn = Result<relational::Table> (*)(
+    const relational::Table& left, const relational::Table& right,
+    relational::Schema schema, const RealizationJoinSpec& spec);
+
 /// Deduplicates an all-int64 realization table (num_vars variable columns +
 /// tmin + tmax) by variable assignment, keeping the tightest span per
 /// assignment in first-occurrence order. Flat-hash-table implementation on
@@ -59,8 +74,7 @@ struct RealizationJoinSpec {
 
 /// The pre-columnar dedup (row materialization into vector<vector<int64_t>>
 /// with an unordered_map chain index), preserved verbatim as the differential
-/// oracle for DedupKeepTightest and JoinRealizations tests. Not used by the
-/// mining pipeline.
+/// oracle for DedupKeepTightest tests. Not used by the mining pipeline.
 [[nodiscard]] relational::Table ReferenceDedupKeepTightest(
     const relational::Table& input, size_t num_vars);
 

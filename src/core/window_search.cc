@@ -11,6 +11,46 @@
 namespace wiclean {
 namespace {
 
+/// Refinement never lowers the frequency threshold below the bottom of the
+/// paper's τ range; WindowSearch::Run rejects initial thresholds outside
+/// [kMinThreshold, 1].
+constexpr double kMinThreshold = 0.2;
+
+/// Window tightening: as long as some half-width sliding sub-window retains
+/// at least this fraction of the current frequency, the pattern's window
+/// shrinks to the best sub-window (down to the minimal width). Above 0.5 so
+/// that a genuinely wide pattern — events uniform over its true window, each
+/// half holding about half the support — *stalls* (and is reported at its
+/// real width) instead of being squeezed into a half-window and failing the
+/// threshold re-check.
+constexpr double kSubwindowSupportFraction = 0.6;
+
+/// A pattern whose realizations cannot be localized into a window of at most
+/// this width is rejected: the paper's genuine patterns live in windows of
+/// "hours to months", while conjunctions of unrelated events glued through a
+/// shared non-seed entity (which the leverage test cannot split) only
+/// co-occur across the whole timeline.
+constexpr Timestamp kMaxPatternWindow = 8 * kSecondsPerWeek;
+
+/// Partition-correlation bound: for every way of splitting a discovered
+/// pattern into two source-connected sub-patterns A and B, the phi
+/// coefficient between "seed realizes A" and "seed realizes B" must reach
+/// this. Independent events sit at phi ≈ 0; real patterns are near-perfectly
+/// correlated (all edits come from the same real-world event, phi ≈ 1). Phi,
+/// unlike raw leverage, stays discriminative for high-frequency patterns
+/// whose leverage ceiling is compressed.
+constexpr double kMinPartitionPhi = 0.5;
+
+/// Early-termination patience: the search stops once this many consecutive
+/// refinement rounds discover nothing new (and something has been found).
+/// Covers two full window+threshold alternation cycles, so one quiet
+/// parameter step does not cut the ladder short; Table 1's small-step
+/// policies terminate early through exactly this mechanism.
+constexpr size_t kRefinePatience = 4;
+
+/// Safety valve against degenerate refine policies.
+constexpr size_t kMaxRounds = 20;
+
 /// Memoizing wrapper around PatternMiner::EvaluateFrequency. Validation
 /// (window tightening + leverage partitions) probes many overlapping
 /// (sub-pattern, window) pairs — e.g. every league-extended transfer variant
@@ -51,9 +91,7 @@ class FreqEvaluator {
 /// artifact.
 Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
                            size_t seed_count, Timestamp min_width,
-                           double support_fraction,
-                           Timestamp max_pattern_window, double threshold,
-                           MinedPattern* mp) {
+                           double threshold, MinedPattern* mp) {
   WICLEAN_ASSIGN_OR_RETURN(
       std::vector<PatternMiner::RealizationSpan> spans,
       miner.EvaluateRealizations(seed_type, mp->pattern, mp->window));
@@ -87,7 +125,8 @@ Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
         start = window.end - half - step;
       }
     }
-    if (best_freq < support_fraction * freq) break;  // cannot localize further
+    // Cannot localize further.
+    if (best_freq < kSubwindowSupportFraction * freq) break;
     window = best;
     freq = best_freq;
   }
@@ -95,7 +134,7 @@ Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
   // frequency; 10% slack absorbs boundary effects. Window artifacts lose far
   // more than 10% when localized.
   if (freq < 0.9 * threshold) return false;
-  if (window.width() > max_pattern_window) return false;  // not localizable
+  if (window.width() > kMaxPatternWindow) return false;  // not localizable
   mp->window = window;
   mp->frequency = freq;
   return true;
@@ -103,9 +142,8 @@ Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
 
 /// Tests every 2-partition of the pattern's actions into source-connected
 /// sub-patterns; returns false (artifact) when some partition's phi
-/// coefficient falls below `min_phi`.
-Result<bool> PassesLeverage(FreqEvaluator& freq_of, double min_phi,
-                            const MinedPattern& mp) {
+/// coefficient falls below kMinPartitionPhi.
+Result<bool> PassesLeverage(FreqEvaluator& freq_of, const MinedPattern& mp) {
   const size_t n = mp.pattern.num_actions();
   if (n < 2 || n > 16) return true;
   for (uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
@@ -130,7 +168,7 @@ Result<bool> PassesLeverage(FreqEvaluator& freq_of, double min_phi,
     double variance = fa * (1 - fa) * fb * (1 - fb);
     if (variance < 1e-6) continue;  // a near-constant side cannot discriminate
     double phi = (mp.frequency - fa * fb) / std::sqrt(variance);
-    if (phi < min_phi) return false;
+    if (phi < kMinPartitionPhi) return false;
   }
   return true;
 }
@@ -163,6 +201,13 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       options_.min_window_width > options_.max_window_width) {
     return Status::InvalidArgument("invalid window width bounds");
   }
+  if (!(options_.initial_threshold >= kMinThreshold &&
+        options_.initial_threshold <= 1)) {
+    return Status::InvalidArgument(
+        "initial frequency threshold " +
+        std::to_string(options_.initial_threshold) +
+        " is outside the paper's range [0.2, 1]");
+  }
 
   WindowSearchResult result;
   std::set<std::string> seen_keys;      // reported patterns
@@ -174,7 +219,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   // lowers the threshold (false).
   bool widen_next = true;
   // Quiet-round counter for the early-termination patience (see
-  // WindowSearchOptions::refine_patience).
+  // kRefinePatience).
   size_t quiet_rounds = 0;
 
   // Validation probes (tightening spans, leverage sub-pattern frequencies)
@@ -190,7 +235,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
            std::shared_ptr<MiningContext>> context_cache;
   Timestamp cached_width = -1;
 
-  for (size_t round = 0; round < options_.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRounds; ++round) {
     Timer round_timer;
     MinerOptions miner_options = options_.miner;
     miner_options.frequency_threshold = threshold;
@@ -287,15 +332,11 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
           WICLEAN_ASSIGN_OR_RETURN(
               genuine,
               TightenWindow(probe_miner, seed_type, seed_count,
-                            options_.min_window_width,
-                            options_.subwindow_support_fraction,
-                            options_.max_pattern_window, threshold, &mp));
+                            options_.min_window_width, threshold, &mp));
         }
         if (genuine && options_.leverage_validation &&
             mp.pattern.num_actions() > 1) {
-          WICLEAN_ASSIGN_OR_RETURN(
-              genuine,
-              PassesLeverage(freq_of, options_.min_partition_phi, mp));
+          WICLEAN_ASSIGN_OR_RETURN(genuine, PassesLeverage(freq_of, mp));
         }
         if (!genuine) {
           rejected_keys.insert(std::move(key));
@@ -332,7 +373,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
     // new patterns (or while nothing at all was found), within the parameter
     // bounds and the early-termination patience.
     quiet_rounds = new_patterns > 0 ? 0 : quiet_rounds + 1;
-    if (quiet_rounds >= options_.refine_patience && !result.patterns.empty()) {
+    if (quiet_rounds >= kRefinePatience && !result.patterns.empty()) {
       break;
     }
 
@@ -353,7 +394,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       } else {
         double new_threshold =
             threshold * (1.0 - options_.refine.threshold_reduction);
-        new_threshold = std::max(new_threshold, options_.min_threshold);
+        new_threshold = std::max(new_threshold, kMinThreshold);
         if (new_threshold < threshold) {
           threshold = new_threshold;
           changed = true;

@@ -26,9 +26,9 @@ struct WindowSearchOptions {
   /// Window widths never exceed one year.
   Timestamp max_window_width = kSecondsPerYear;
   /// Initial frequency threshold (paper default 0.7; 0.8 in the quality
-  /// experiments) and its floor.
+  /// experiments). Must lie in the paper's τ range [0.2, 1]; refinement
+  /// never lowers the threshold below 0.2.
   double initial_threshold = 0.7;
-  double min_threshold = 0.2;
 
   RefinePolicy refine;
   MinerOptions miner;
@@ -38,51 +38,22 @@ struct WindowSearchOptions {
   bool mine_relative = true;
   double relative_threshold = 0.5;
 
-  /// Window tightening / validation. A pattern first discovered at a widened
-  /// window is re-localized: as long as some half-width sliding sub-window
-  /// retains at least `subwindow_support_fraction` of the current frequency,
-  /// the pattern's window shrinks to the best sub-window (down to the minimal
-  /// width). The pattern is accepted only if its frequency in the final
-  /// tight window still clears the discovery threshold. This (a) rejects
-  /// window artifacts — conjunctions of independent events that only
-  /// "co-occur" because the window grew past both — and (b) reports each
-  /// pattern with its actual time window rather than the coarse ladder
-  /// window.
-  /// The support fraction is above 0.5 so that a genuinely wide pattern —
-  /// events uniform over its true window, each half holding about half the
-  /// support — *stalls* (and is reported at its real width) instead of being
-  /// squeezed into a half-window and failing the threshold re-check.
+  /// Window tightening / validation: a pattern first discovered at a
+  /// widened window is re-localized to its tightest sub-window and accepted
+  /// only if it still clears the discovery threshold there and fits in eight
+  /// weeks (see kSubwindowSupportFraction and kMaxPatternWindow in
+  /// window_search.cc). This rejects window artifacts — conjunctions of
+  /// independent events that only "co-occur" because the window grew past
+  /// both — and reports each pattern with its actual time window rather than
+  /// the coarse ladder window.
   bool subwindow_validation = true;
-  double subwindow_support_fraction = 0.6;
 
-  /// A pattern whose realizations cannot be localized into a window of at
-  /// most this width is rejected: the paper's genuine patterns live in
-  /// windows of "hours to months", while conjunctions of unrelated events
-  /// glued through a shared non-seed entity (which the leverage test cannot
-  /// split) only co-occur across the whole timeline.
-  Timestamp max_pattern_window = 8 * kSecondsPerWeek;
-
-  /// Partition-correlation validation: for every way of splitting a
-  /// discovered pattern into two source-connected sub-patterns A and B, the
-  /// phi coefficient between "seed realizes A" and "seed realizes B" must
-  /// reach this bound. Conjunctions of *independent* events (a player who
-  /// happened to both win an award and be loaned out in the same window) sit
-  /// at phi ≈ 0 and are rejected; real patterns are near-perfectly
-  /// correlated (all edits come from the same real-world event, phi ≈ 1).
-  /// Phi, unlike raw leverage, stays discriminative for high-frequency
-  /// patterns whose leverage ceiling is compressed.
+  /// Partition-correlation validation: every split of a discovered pattern
+  /// into two source-connected sub-patterns must be positively correlated
+  /// (see kMinPartitionPhi in window_search.cc). Rejects conjunctions of
+  /// *independent* events (a player who happened to both win an award and
+  /// be loaned out in the same window).
   bool leverage_validation = true;
-  double min_partition_phi = 0.5;
-
-  /// Early-termination patience: the search stops once this many consecutive
-  /// refinement rounds discover nothing new (and something has been found).
-  /// The default covers two full window+threshold alternation cycles, so one
-  /// quiet parameter step does not cut the ladder short; Table 1's
-  /// small-step policies terminate early through exactly this mechanism.
-  size_t refine_patience = 4;
-
-  /// Safety valve against degenerate refine policies.
-  size_t max_rounds = 20;
 };
 
 /// One pattern discovered by the search, with the parameters that found it.

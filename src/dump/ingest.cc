@@ -233,43 +233,6 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
   return batch;
 }
 
-Status IngestPage(const DumpPage& page, const EntityRegistry& registry,
-                  RevisionStore* store, const IngestOptions& options,
-                  IngestStats* stats) {
-  if (options.on_error == ErrorPolicy::kQuarantine &&
-      options.quarantine == nullptr) {
-    return Status::InvalidArgument(
-        "ErrorPolicy::kQuarantine requires a QuarantineSink");
-  }
-  WICLEAN_ASSIGN_OR_RETURN(PageActions batch,
-                           ParsePageActions(page, 0, registry, options));
-  for (const QuarantineRecord& record : batch.quarantine) {
-    WICLEAN_RETURN_IF_ERROR(options.quarantine->Write(record));
-    ++stats->quarantined;
-  }
-  if (batch.skipped) {
-    ++stats->pages_skipped;
-    for (size_t i = 0; i < kNumSkipReasons; ++i) {
-      stats->skipped_by_reason[i] += batch.skipped_by_reason[i];
-    }
-    return Status::OK();
-  }
-  if (!batch.known_page) {
-    ++stats->unknown_pages;
-    return Status::OK();
-  }
-  ++stats->pages;
-  stats->revisions += batch.revisions;
-  stats->actions += batch.actions.size();
-  stats->unresolved_links += batch.unresolved_links;
-  stats->revisions_skipped += batch.revisions_skipped;
-  for (size_t i = 0; i < kNumSkipReasons; ++i) {
-    stats->skipped_by_reason[i] += batch.skipped_by_reason[i];
-  }
-  for (Action& action : batch.actions) store->Add(std::move(action));
-  return Status::OK();
-}
-
 Result<IngestStats> IngestDump(std::istream* in,
                                const EntityRegistry& registry,
                                RevisionStore* store,

@@ -147,12 +147,6 @@ struct IngestOptions {
                                RevisionStore* store,
                                const IngestOptions& options = {});
 
-/// Ingests a single already-parsed page (used directly by tests and simple
-/// consumers). Appends recovered actions to `store` and updates `stats`.
-[[nodiscard]] Status IngestPage(const DumpPage& page, const EntityRegistry& registry,
-                  RevisionStore* store, const IngestOptions& options,
-                  IngestStats* stats);
-
 }  // namespace wiclean
 
 #endif  // WICLEAN_DUMP_INGEST_H_

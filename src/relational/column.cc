@@ -80,12 +80,6 @@ void Column::AppendInt64Bulk(const std::vector<int64_t>& values) {
   valid_.resize(valid_.size() + values.size(), 1);
 }
 
-size_t Column::ApproxBytes() const {
-  size_t bytes = ints_.size() * sizeof(int64_t) + valid_.size();
-  for (const std::string& s : strings_) bytes += sizeof(std::string) + s.size();
-  return bytes;
-}
-
 Value Column::ValueAt(size_t row) const {
   if (IsNull(row)) return Value::Null();
   if (type_ == DataType::kInt64) return Value::Int64(ints_[row]);

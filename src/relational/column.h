@@ -78,11 +78,6 @@ class Column {
   /// Boxed accessor (allocates for strings); for tests and printing.
   Value ValueAt(size_t row) const;
 
-  /// Approximate resident payload bytes (int64 data + validity mask + string
-  /// headers and characters). A profiling estimate, not an allocator
-  /// measurement.
-  size_t ApproxBytes() const;
-
   /// Raw int64 payload; only meaningful for kInt64 columns. Null slots hold 0.
   const std::vector<int64_t>& int64_data() const { return ints_; }
 

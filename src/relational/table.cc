@@ -105,12 +105,6 @@ void Table::AppendGatherPadded(const Table& src,
   num_rows_ += rows.size();
 }
 
-size_t Table::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const Column& c : columns_) bytes += c.ApproxBytes();
-  return bytes;
-}
-
 std::vector<Value> Table::RowValues(size_t row) const {
   std::vector<Value> out;
   out.reserve(columns_.size());

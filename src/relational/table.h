@@ -73,9 +73,6 @@ class Table {
   void AppendGatherPadded(const Table& src, const std::vector<uint32_t>& rows,
                           size_t col_offset);
 
-  /// Approximate resident bytes across all columns (see Column::ApproxBytes).
-  size_t ApproxBytes() const;
-
   /// Boxed row accessor (for tests/printing).
   std::vector<Value> RowValues(size_t row) const;
 

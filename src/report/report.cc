@@ -137,26 +137,6 @@ Status WriteSearchReportJson(const WindowSearchResult& result,
   w.Int(static_cast<int64_t>(result.total_stats.entities_ingested));
   w.Key("actions_ingested");
   w.Int(static_cast<int64_t>(result.total_stats.actions_ingested));
-  // Present only under --profile-workingset (all-zero otherwise).
-  const WorkingSetProfile& ws = result.total_stats.workingset;
-  if (ws.tables_born > 0 || ws.join_bytes_touched > 0 ||
-      ws.dedup_bytes_touched > 0) {
-    w.Key("workingset");
-    w.BeginObject();
-    w.Key("join_bytes_touched");
-    w.Int(static_cast<int64_t>(ws.join_bytes_touched));
-    w.Key("dedup_bytes_touched");
-    w.Int(static_cast<int64_t>(ws.dedup_bytes_touched));
-    w.Key("tables_born");
-    w.Int(static_cast<int64_t>(ws.tables_born));
-    w.Key("tables_died");
-    w.Int(static_cast<int64_t>(ws.tables_died));
-    w.Key("live_bytes");
-    w.Int(static_cast<int64_t>(ws.live_bytes));
-    w.Key("peak_live_bytes");
-    w.Int(static_cast<int64_t>(ws.peak_live_bytes));
-    w.EndObject();
-  }
   w.EndObject();
 
   w.EndObject();

@@ -112,6 +112,33 @@ execute_process(
 if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument.*--mine-threads")
   message(FATAL_ERROR "--mine-threads -1 should be rejected (rc=${rc}): ${err}")
 endif()
+# Mining flags are validated before any mining runs: thresholds outside the
+# paper's [0.2, 1] (below it, relative mining used to crash on an evicted
+# realization table), negative abstraction lifts, and non-numeric or
+# non-positive action caps.
+foreach(bad
+    "--threshold;0.15;\\[0\\.2, 1\\]"
+    "--threshold;0.12;\\[0\\.2, 1\\]"
+    "--threshold;abc;\\[0\\.2, 1\\]"
+    "--abstraction-lift;-1;--abstraction-lift"
+    "--abstraction-lift;abc;--abstraction-lift"
+    "--max-actions;abc;--max-actions"
+    "--max-actions;-1;--max-actions")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  list(GET bad 2 expect)
+  execute_process(
+    COMMAND ${WICLEAN} mine
+      --dump ${WORK_DIR}/dump.xml
+      --taxonomy ${WORK_DIR}/taxonomy.tsv
+      --alignment ${WORK_DIR}/alignment.tsv
+      --seed-type soccer_player ${flag} ${value}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument.*${expect}")
+    message(FATAL_ERROR
+      "mine ${flag} ${value} should be rejected (rc=${rc}): ${err}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${WICLEAN} bogus-subcommand
   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)

@@ -5,6 +5,7 @@
 
 #include "dump/dump.h"
 #include "dump/ingest.h"
+#include "dump/pipeline.h"
 #include "dump/xml_util.h"
 #include "synth/dump_render.h"
 #include "synth/synthesizer.h"
@@ -297,6 +298,14 @@ class IngestTest : public ::testing::Test {
     psg_ = *registry_->Register("PSG", club_);
   }
 
+  /// Ingests one page through the production pipeline into `store`.
+  Result<IngestStats> Ingest(const DumpPage& page, RevisionStore* store,
+                             const IngestOptions& options = {}) {
+    VectorPageSource source({page});
+    RevisionStoreSink sink(store);
+    return RunIngestPipeline(&source, *registry_, &sink, options);
+  }
+
   TypeTaxonomy tax_;
   TypeId thing_, player_, club_;
   std::unique_ptr<EntityRegistry> registry_;
@@ -318,10 +327,10 @@ TEST_F(IngestTest, RecoversActionsFromRevisionDiffs) {
   page.revisions = {r1, r2};
 
   RevisionStore store;
-  IngestStats stats;
-  ASSERT_TRUE(IngestPage(page, *registry_, &store, {}, &stats).ok());
+  Result<IngestStats> stats = Ingest(page, &store);
+  ASSERT_TRUE(stats.ok());
   // Revision 1: +Barcelona. Revision 2: -Barcelona, +PSG.
-  EXPECT_EQ(stats.actions, 3u);
+  EXPECT_EQ(stats->actions, 3u);
   const std::vector<Action>& log = store.LogOf(neymar_);
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0].op, EditOp::kAdd);
@@ -335,13 +344,13 @@ TEST_F(IngestTest, UnknownPagePolicies) {
   page.page_id = 9;
 
   RevisionStore store;
-  IngestStats stats;
-  ASSERT_TRUE(IngestPage(page, *registry_, &store, {}, &stats).ok());
-  EXPECT_EQ(stats.unknown_pages, 1u);
+  Result<IngestStats> stats = Ingest(page, &store);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->unknown_pages, 1u);
 
   IngestOptions strict;
   strict.strict_pages = true;
-  EXPECT_FALSE(IngestPage(page, *registry_, &store, strict, &stats).ok());
+  EXPECT_FALSE(Ingest(page, &store, strict).ok());
 }
 
 TEST_F(IngestTest, UnresolvedLinkTargetsSkipped) {
@@ -355,10 +364,10 @@ TEST_F(IngestTest, UnresolvedLinkTargetsSkipped) {
   page.revisions = {r};
 
   RevisionStore store;
-  IngestStats stats;
-  ASSERT_TRUE(IngestPage(page, *registry_, &store, {}, &stats).ok());
-  EXPECT_EQ(stats.unresolved_links, 1u);
-  EXPECT_EQ(stats.actions, 0u);
+  Result<IngestStats> stats = Ingest(page, &store);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->unresolved_links, 1u);
+  EXPECT_EQ(stats->actions, 0u);
 }
 
 TEST_F(IngestTest, CorruptWikitextPropagates) {
@@ -372,9 +381,7 @@ TEST_F(IngestTest, CorruptWikitextPropagates) {
   page.revisions = {r};
 
   RevisionStore store;
-  IngestStats stats;
-  EXPECT_EQ(IngestPage(page, *registry_, &store, {}, &stats).code(),
-            StatusCode::kCorruption);
+  EXPECT_EQ(Ingest(page, &store).status().code(), StatusCode::kCorruption);
 }
 
 // ---------- synthetic world dump round trip ----------

@@ -477,21 +477,22 @@ TEST_F(IngestFaultTest, IngestPageHonorsLimitsAndQuarantine) {
   options.quarantine = &quarantine;
   RevisionStore store;
   IngestStats stats;
-  ASSERT_TRUE(
-      IngestPage(page, *world_->registry, &store, options, &stats).ok());
+  IngestPages({page}, options, &store, &stats);
   EXPECT_EQ(stats.revisions_skipped, 1u);
   EXPECT_EQ(stats.quarantined, 1u);
   ASSERT_EQ(quarantine.records().size(), 1u);
   EXPECT_EQ(quarantine.records()[0].reason, SkipReason::kOversizedRevision);
 
-  // Strict IngestPage on the same page: hard error.
+  // Strict ingest of the same page: hard error.
   IngestOptions strict;
   strict.limits = FaultTripLimits();
   RevisionStore store2;
-  IngestStats stats2;
-  Status s = IngestPage(page, *world_->registry, &store2, strict, &stats2);
+  VectorPageSource source({page});
+  RevisionStoreSink sink(&store2);
+  Result<IngestStats> s =
+      RunIngestPipeline(&source, *world_->registry, &sink, strict);
   ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(s.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

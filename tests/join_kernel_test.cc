@@ -1,9 +1,10 @@
-// Differential tests for the columnar join kernels and the fused
-// realization-join operator: the flat-hash-table HashJoin must agree with the
+// Differential tests for the columnar join kernels and the two
+// realization-join engines: the flat-hash-table HashJoin must agree with the
 // nested-loop oracle row for row, with the preserved multimap reference
-// implementation as a bag, and the fused JoinRealizations / flat
-// DedupKeepTightest must be byte-identical to the unfused compositions they
-// replaced — including end-to-end MineWindow output on a synthetic domain.
+// implementation as a bag; the fused JoinRealizations must be byte-identical
+// to the PM−join NestedLoopJoinRealizations and the flat DedupKeepTightest to
+// its reference — including end-to-end MineWindow and EvaluateRealizations
+// output on a synthetic domain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,47 +244,6 @@ rel::Table RandomActionTable(Rng* rng, size_t rows, int64_t domain,
   return t;
 }
 
-// The unfused pipeline the fused operator replaced: nested-loop join (same
-// candidate order as the columnar hash join), row-at-a-time span recompute
-// and prune, then the preserved reference dedup.
-rel::Table OracleJoinRealizations(const rel::Table& left,
-                                 const rel::Table& right,
-                                 const RealizationJoinSpec& rspec) {
-  const size_t n = rspec.num_left_vars;
-  const bool fresh = rspec.glue_target_col < 0;
-  rel::JoinSpec spec;
-  spec.equal_cols.push_back({rspec.glue_source_col, 0});
-  if (!fresh) {
-    spec.equal_cols.push_back(
-        {static_cast<size_t>(rspec.glue_target_col), 1});
-  } else {
-    for (size_t k : rspec.distinct_from_target) {
-      spec.not_equal_cols.push_back({k, 1});
-    }
-  }
-  Result<rel::Table> joined = rel::NestedLoopJoin(left, right, spec);
-  EXPECT_TRUE(joined.ok());
-
-  const size_t out_vars = n + (fresh ? 1 : 0);
-  rel::Table realization(VarSchema(out_vars, "v"));
-  std::vector<int64_t> row(out_vars + 2);
-  for (size_t r = 0; r < joined->num_rows(); ++r) {
-    int64_t t = joined->column(n + 4).Int64At(r);
-    int64_t tmin = std::min(joined->column(n).Int64At(r), t);
-    int64_t tmax = std::max(joined->column(n + 1).Int64At(r), t);
-    if (tmax - tmin > rspec.max_span) continue;
-    for (size_t c = 0; c < n; ++c) row[c] = joined->column(c).Int64At(r);
-    if (fresh) row[n] = joined->column(n + 3).Int64At(r);
-    row[out_vars] = tmin;
-    row[out_vars + 1] = tmax;
-    realization.AppendInt64Row(row);
-  }
-  if (rspec.dedup_keep_tightest) {
-    realization = ReferenceDedupKeepTightest(realization, out_vars);
-  }
-  return realization;
-}
-
 struct RealizationCase {
   uint64_t seed;
   size_t left_rows;
@@ -333,8 +293,10 @@ TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
         Result<rel::Table> fused =
             JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
         ASSERT_TRUE(fused.ok());
-        rel::Table oracle = OracleJoinRealizations(left, right, rs);
-        EXPECT_EQ(RowList(*fused), RowList(oracle))
+        Result<rel::Table> nested = NestedLoopJoinRealizations(
+            left, right, VarSchema(out_vars, "v"), rs);
+        ASSERT_TRUE(nested.ok());
+        EXPECT_EQ(RowList(*fused), RowList(*nested))
             << "seed " << c.seed << " max_span " << max_span << " dedup "
             << dedup << " glue_target " << rs.glue_target_col;
       }
@@ -458,6 +420,74 @@ TEST(MineWindowIdentityTest, FusedHashPathMatchesNestedLoopPath) {
     EXPECT_EQ(h->stats.candidates_considered, n->stats.candidates_considered)
         << "week " << week;
   }
+}
+
+// EvaluateRealizations (the window search's span probe) must return the same
+// spans, row for row, on both engines — for plain patterns and for §7
+// value-bound ones, whose per-action tables are filtered before joining.
+TEST(EvaluateRealizationsIdentityTest, HashAndNestedLoopSpansMatch) {
+  SynthOptions o;
+  o.seed_entities = 30;
+  o.years = 1;
+  o.rng_seed = 21;
+  o.soccer = true;
+  o.background_entities = 60;
+  o.background_edit_rate = 2.0;
+  Result<SynthWorld> world = Synthesize(o);
+  ASSERT_TRUE(world.ok());
+  const TypeId seed = world->types.soccer_player;
+
+  MinerOptions hash_opts;
+  hash_opts.frequency_threshold = 0.3;
+  hash_opts.max_pattern_actions = 4;
+  MinerOptions loop_opts = hash_opts;
+  loop_opts.join_engine = JoinEngineKind::kNestedLoop;
+  PatternMiner hash_miner(world->registry.get(), &world->store, hash_opts);
+  PatternMiner loop_miner(world->registry.get(), &world->store, loop_opts);
+
+  using SpanRow = std::tuple<EntityId, Timestamp, Timestamp>;
+  auto spans_of = [&](const PatternMiner& miner, const Pattern& p,
+                      const TimeWindow& w) {
+    Result<std::vector<PatternMiner::RealizationSpan>> spans =
+        miner.EvaluateRealizations(seed, p, w);
+    EXPECT_TRUE(spans.ok()) << spans.status().ToString();
+    std::vector<SpanRow> rows;
+    if (!spans.ok()) return rows;
+    for (const PatternMiner::RealizationSpan& s : *spans) {
+      rows.emplace_back(s.seed, s.tmin, s.tmax);
+    }
+    return rows;
+  };
+
+  size_t plain_checked = 0;
+  size_t bound_checked = 0;
+  for (int week : {10, 16, 20}) {
+    TimeWindow window = world->WindowOf(week);
+    Result<MineWindowResult> mined = hash_miner.MineWindow(seed, window);
+    ASSERT_TRUE(mined.ok());
+    for (const MinedPattern& mp : mined->most_specific) {
+      if (mp.pattern.num_actions() < 2) continue;
+      std::vector<SpanRow> hash_rows = spans_of(hash_miner, mp.pattern, window);
+      EXPECT_FALSE(hash_rows.empty());
+      EXPECT_EQ(hash_rows, spans_of(loop_miner, mp.pattern, window))
+          << "week " << week << " pattern " << mp.pattern.CanonicalKey();
+      ++plain_checked;
+
+      Result<std::vector<PatternMiner::ValueSpecificPattern>> bound =
+          hash_miner.MineValueSpecific(*mined->context, seed, mp, 0.1);
+      ASSERT_TRUE(bound.ok());
+      for (const PatternMiner::ValueSpecificPattern& vs : *bound) {
+        std::vector<SpanRow> bound_rows =
+            spans_of(hash_miner, vs.pattern, window);
+        EXPECT_FALSE(bound_rows.empty());
+        EXPECT_EQ(bound_rows, spans_of(loop_miner, vs.pattern, window))
+            << "week " << week << " pattern " << vs.pattern.CanonicalKey();
+        ++bound_checked;
+      }
+    }
+  }
+  EXPECT_GT(plain_checked, 0u);
+  EXPECT_GT(bound_checked, 0u);
 }
 
 // Whole-mine output must be invariant under the miner's thread count: the

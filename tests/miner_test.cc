@@ -243,6 +243,32 @@ TEST_F(MinerTest, RelativeMiningValidatesInputs) {
       miner.MineRelative(result->context.get(), player_, base, 1.5).ok());
 }
 
+// Realization tables of patterns below the cache floor (0.1) are evicted, so
+// an admission threshold under the floor would expand a pattern through an
+// empty table. Both admission paths reject such thresholds up front.
+TEST_F(MinerTest, AdmissionBelowRealizationCacheFloorRejected) {
+  PatternMiner low(registry_.get(), &store_, Options(0.05));
+  Result<MineWindowResult> rejected = low.MineWindow(player_, window_);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().ToString().find("realization cache floor"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  PatternMiner miner(registry_.get(), &store_, Options(0.7));
+  Result<MineWindowResult> result = miner.MineWindow(player_, window_);
+  ASSERT_TRUE(result.ok());
+  const MinedPattern& base = result->most_specific.front();
+  // Admission = 0.05 * frequency(base) <= 0.05, below the floor.
+  Result<std::vector<RelativePattern>> relative =
+      miner.MineRelative(result->context.get(), player_, base, 0.05);
+  ASSERT_FALSE(relative.ok());
+  EXPECT_EQ(relative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(relative.status().ToString().find("realization cache floor"),
+            std::string::npos)
+      << relative.status().ToString();
+}
+
 TEST_F(MinerTest, InputValidation) {
   PatternMiner miner(registry_.get(), &store_, Options(0.7));
   EXPECT_FALSE(miner.MineWindow(999, window_).ok());

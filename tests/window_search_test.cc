@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "core/window_search.h"
@@ -201,6 +202,24 @@ TEST_F(WindowSearchTest, InputValidation) {
   WindowSearch search2(world_->registry.get(), &world_->store, bad);
   EXPECT_FALSE(
       search2.Run(world_->types.soccer_player, 0, kSecondsPerYear).ok());
+}
+
+// Initial thresholds outside the paper's τ range [0.2, 1] are rejected. Below
+// it, relative mining (at half the base frequency) used to admit patterns
+// whose realization tables were already evicted, and the run crashed inside
+// the realization join instead.
+TEST_F(WindowSearchTest, InitialThresholdOutsidePaperRangeRejected) {
+  for (double tau : {0.15, 0.12, 0.0, 1.5, std::nan("")}) {
+    WindowSearchOptions o = Options();
+    o.initial_threshold = tau;
+    WindowSearch search(world_->registry.get(), &world_->store, o);
+    Result<WindowSearchResult> result =
+        search.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+    ASSERT_FALSE(result.ok()) << "tau " << tau;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find("[0.2, 1]"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 }  // namespace

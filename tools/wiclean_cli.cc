@@ -49,6 +49,7 @@
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -127,6 +128,30 @@ class Args {
     return it == values_.end()
                ? fallback
                : std::strtoll(it->second.c_str(), nullptr, 10);
+  }
+
+  /// Like GetInt, but fails unless the whole value is a decimal integer in
+  /// [min, max] (GetInt parses "abc" as 0 and "-1" wraps in a size_t cast).
+  Result<int64_t> GetIntInRange(
+      const std::string& key, int64_t fallback, int64_t min,
+      int64_t max = std::numeric_limits<int64_t>::max()) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const char* begin = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const int64_t value = std::strtoll(begin, &end, 10);
+    if (end == begin || *end != '\0' || errno == ERANGE || value < min ||
+        value > max) {
+      const std::string range =
+          max == std::numeric_limits<int64_t>::max()
+              ? ">= " + std::to_string(min)
+              : "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                    "]";
+      return Status::InvalidArgument("--" + key + " must be an integer " +
+                                     range + " (got '" + it->second + "')");
+    }
+    return value;
   }
 
  private:
@@ -297,27 +322,56 @@ Result<LoadedCorpus> LoadCorpus(const Args& args,
   return corpus;
 }
 
-Result<WindowSearchResult> RunSearch(const LoadedCorpus& corpus,
-                                     const Args& args) {
+/// A window search's output plus the options it actually ran with.
+struct SearchRun {
   WindowSearchOptions options;
+  WindowSearchResult result;
+};
+
+Result<SearchRun> RunSearch(const LoadedCorpus& corpus, const Args& args) {
+  WindowSearchOptions options;
+  // Range-checked by WindowSearch::Run (the paper's [0.2, 1]).
   options.initial_threshold = args.GetDouble("threshold", 0.7);
-  options.miner.max_abstraction_lift =
-      static_cast<int>(args.GetInt("abstraction-lift", 1));
-  options.miner.max_pattern_actions =
-      static_cast<size_t>(args.GetInt("max-actions", 6));
+  WICLEAN_ASSIGN_OR_RETURN(
+      int64_t lift, args.GetIntInRange("abstraction-lift", 1, 0,
+                                       std::numeric_limits<int>::max()));
+  options.miner.max_abstraction_lift = static_cast<int>(lift);
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_actions,
+                           args.GetIntInRange("max-actions", 6, 1));
+  options.miner.max_pattern_actions = static_cast<size_t>(max_actions);
   // Mining-internal parallelism (candidate evaluation); output is invariant
   // under this knob. Distinct from --threads, which parallelizes ingest.
-  int64_t mine_threads = args.GetInt("mine-threads", 1);
-  if (mine_threads < 1) {
-    return Status::InvalidArgument("--mine-threads must be >= 1");
-  }
+  WICLEAN_ASSIGN_OR_RETURN(int64_t mine_threads,
+                           args.GetIntInRange("mine-threads", 1, 1));
   options.miner.num_threads = static_cast<size_t>(mine_threads);
-  options.miner.profile_workingset =
-      args.Get("profile-workingset", "") == "1" ||
-      args.Get("profile-workingset", "") == "true";
   options.mine_relative = true;
   WindowSearch search(corpus.registry.get(), &corpus.store, options);
-  return search.Run(corpus.seed_type, corpus.begin, corpus.end);
+  WICLEAN_ASSIGN_OR_RETURN(
+      WindowSearchResult result,
+      search.Run(corpus.seed_type, corpus.begin, corpus.end));
+  return SearchRun{search.options(), std::move(result)};
+}
+
+/// The discovered patterns of `run` as a snapshot whose provenance records
+/// the mining options the search ran with.
+PatternSnapshot SnapshotOf(const SearchRun& run, std::string corpus_id,
+                           std::string tool) {
+  PatternSnapshot snapshot;
+  snapshot.provenance.corpus_id = std::move(corpus_id);
+  snapshot.provenance.tool = std::move(tool);
+  snapshot.provenance.frequency_threshold = run.options.initial_threshold;
+  snapshot.provenance.max_abstraction_lift =
+      run.options.miner.max_abstraction_lift;
+  snapshot.provenance.max_pattern_actions =
+      run.options.miner.max_pattern_actions;
+  snapshot.provenance.mine_relative = run.options.mine_relative;
+  for (const DiscoveredPattern& dp : run.result.patterns) {
+    snapshot.patterns.push_back(StoredPattern{dp.mined.pattern,
+                                              dp.mined.window,
+                                              dp.mined.frequency,
+                                              dp.mined.support, dp.threshold});
+  }
+  return snapshot;
 }
 
 ReportProvenance ToReportProvenance(const SnapshotProvenance& p) {
@@ -424,27 +478,13 @@ int RunPack(const Args& args) {
   if (!corpus.ok()) return Fail(corpus.status());
   Result<std::string> out_path = args.Require("out");
   if (!out_path.ok()) return Fail(out_path.status());
-  Result<WindowSearchResult> result = RunSearch(*corpus, args);
-  if (!result.ok()) return Fail(result.status());
+  Result<SearchRun> run = RunSearch(*corpus, args);
+  if (!run.ok()) return Fail(run.status());
 
-  PatternSnapshot snapshot;
-  snapshot.provenance.corpus_id =
-      args.Get("corpus-id", args.Get("dump", ""));
-  snapshot.provenance.tool = "wiclean pack";
+  PatternSnapshot snapshot =
+      SnapshotOf(*run, args.Get("corpus-id", args.Get("dump", "")),
+                 "wiclean pack");
   snapshot.provenance.created_unix = args.GetInt("created-unix", 0);
-  snapshot.provenance.frequency_threshold =
-      args.GetDouble("threshold", 0.7);
-  snapshot.provenance.max_abstraction_lift =
-      static_cast<int32_t>(args.GetInt("abstraction-lift", 1));
-  snapshot.provenance.max_pattern_actions =
-      static_cast<uint64_t>(args.GetInt("max-actions", 6));
-  snapshot.provenance.mine_relative = true;
-  for (const DiscoveredPattern& dp : result->patterns) {
-    snapshot.patterns.push_back(StoredPattern{dp.mined.pattern,
-                                              dp.mined.window,
-                                              dp.mined.frequency,
-                                              dp.mined.support, dp.threshold});
-  }
   Status status = SaveSnapshotFile(snapshot, *corpus->taxonomy, *out_path);
   if (!status.ok()) return Fail(status);
   // Verify the artifact is loadable before declaring success.
@@ -792,16 +832,17 @@ int RunIngest(const Args& args) {
 int RunMine(const Args& args) {
   Result<LoadedCorpus> corpus = LoadCorpus(args);
   if (!corpus.ok()) return Fail(corpus.status());
-  Result<WindowSearchResult> result = RunSearch(*corpus, args);
-  if (!result.ok()) return Fail(result.status());
+  Result<SearchRun> run = RunSearch(*corpus, args);
+  if (!run.ok()) return Fail(run.status());
+  const WindowSearchResult& result = run->result;
 
-  std::fputs(RenderSearchSummary(*result, *corpus->taxonomy).c_str(), stdout);
+  std::fputs(RenderSearchSummary(result, *corpus->taxonomy).c_str(), stdout);
 
   std::string json_path = args.Get("json", "");
   if (!json_path.empty()) {
     std::ofstream f(json_path);
     if (!f) return Fail(Status::Internal("cannot write " + json_path));
-    Status status = WriteSearchReportJson(*result, *corpus->taxonomy,
+    Status status = WriteSearchReportJson(result, *corpus->taxonomy,
                                           corpus->registry.get(), &f);
     if (!status.ok()) return Fail(status);
     std::printf("JSON report written to %s\n", json_path.c_str());
@@ -830,31 +871,16 @@ int RunDetect(const Args& args) {
     if (!loaded.ok()) return Fail(loaded.status());
     snapshot = std::move(loaded).value();
   } else {
-    Result<WindowSearchResult> result = RunSearch(*corpus, args);
-    if (!result.ok()) return Fail(result.status());
-    snapshot.provenance.corpus_id = args.Get("dump", "");
-    snapshot.provenance.tool = "wiclean detect";
-    snapshot.provenance.frequency_threshold =
-        args.GetDouble("threshold", 0.7);
-    snapshot.provenance.max_abstraction_lift =
-        static_cast<int32_t>(args.GetInt("abstraction-lift", 1));
-    snapshot.provenance.max_pattern_actions =
-        static_cast<uint64_t>(args.GetInt("max-actions", 6));
-    snapshot.provenance.mine_relative = true;
-    for (const DiscoveredPattern& dp : result->patterns) {
-      snapshot.patterns.push_back(
-          StoredPattern{dp.mined.pattern, dp.mined.window,
-                        dp.mined.frequency, dp.mined.support, dp.threshold});
-    }
+    Result<SearchRun> run = RunSearch(*corpus, args);
+    if (!run.ok()) return Fail(run.status());
+    snapshot = SnapshotOf(*run, args.Get("dump", ""), "wiclean detect");
   }
 
   if (use_online) return RunOnline(*corpus, snapshot, args);
 
   PartialDetectorOptions detector_options;
   detector_options.max_abstraction_lift =
-      patterns_path.empty()
-          ? static_cast<int>(args.GetInt("abstraction-lift", 1))
-          : snapshot.provenance.max_abstraction_lift;
+      snapshot.provenance.max_abstraction_lift;
   PartialUpdateDetector detector(corpus->registry.get(), &corpus->store,
                                  detector_options);
 
@@ -889,12 +915,10 @@ int Usage() {
                "         no wikitext, identical store at any --threads)\n"
                "  mine   --dump F --taxonomy F --alignment F --seed-type T "
                "[--threshold X] [--json F] [--threads N] [--mine-threads N] "
-               "[--profile-workingset 1] [ingest flags]\n"
-               "         --mine-threads parallelizes candidate evaluation "
-               "(output invariant);\n"
-               "         --profile-workingset adds per-kernel touched-bytes "
-               "and table\n"
-               "         birth/death counters to the report's stats JSON\n"
+               "[ingest flags]\n"
+               "         --threshold in [0.2, 1]; --mine-threads parallelizes "
+               "candidate\n"
+               "         evaluation (output invariant)\n"
                "  detect --dump F --taxonomy F --alignment F --seed-type T "
                "[--threshold X] [--csv F] [--json F] [--max-print N] "
                "[--threads N] [ingest flags]\n"
