@@ -1,9 +1,12 @@
 // Ablation: Algorithm 3's outer-join engine. The paper motivates the
 // "efficient outer-join based algorithm" for partial-update detection; this
 // harness compares the hash-based full outer join against exhaustive pairing
-// on growing seed sets (detection output is identical; only time differs).
+// on growing seed sets. Detection output must be identical, partial for
+// partial; the harness exits non-zero if the engines disagree.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "common/timer.h"
@@ -12,6 +15,20 @@
 
 using namespace wiclean;
 using namespace wiclean::bench;
+
+namespace {
+
+// The report's partial realizations in order; both engines must agree on it.
+std::vector<std::string> Signatures(const PartialUpdateReport& report) {
+  std::vector<std::string> out;
+  out.reserve(report.partials.size());
+  for (const PartialRealization& pr : report.partials) {
+    out.push_back(pr.Signature());
+  }
+  return out;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   size_t scale = SizeArg(argc, argv, 2000);
@@ -45,8 +62,10 @@ int main(int argc, char** argv) {
     }
     if (transfer == nullptr) transfer = &mined->most_specific.front().pattern;
 
-    PartialDetectorOptions hash_options{3, true, 1};
-    PartialDetectorOptions loop_options{3, false, 1};
+    PartialDetectorOptions hash_options{
+        .max_examples = 3, .use_hash_join = true, .max_abstraction_lift = 1};
+    PartialDetectorOptions loop_options{
+        .max_examples = 3, .use_hash_join = false, .max_abstraction_lift = 1};
     PartialUpdateDetector hash_detector(world.registry.get(), &world.store,
                                         hash_options);
     PartialUpdateDetector loop_detector(world.registry.get(), &world.store,
@@ -64,8 +83,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "detection failed\n");
       return 1;
     }
-    if (hash_report->partials.size() != loop_report->partials.size()) {
-      std::fprintf(stderr, "ENGINE MISMATCH: %zu vs %zu signals\n",
+    if (Signatures(*hash_report) != Signatures(*loop_report)) {
+      std::fprintf(stderr,
+                   "ENGINE MISMATCH: partial signatures differ (%zu vs %zu "
+                   "signals)\n",
                    hash_report->partials.size(),
                    loop_report->partials.size());
       return 1;

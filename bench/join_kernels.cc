@@ -18,10 +18,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/action_index.h"
 #include "core/realization_join.h"
+#include "relational/join_hash_table.h"
 #include "relational/ops.h"
 #include "relational/reference_join.h"
 #include "relational/table.h"
@@ -34,18 +37,8 @@ namespace rel = ::wiclean::relational;
 constexpr size_t kNumVars = 3;
 constexpr int64_t kHorizon = 100000;
 constexpr int kReps = 7;
-rel::Schema VarSchema(size_t num_vars) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{"v" + std::to_string(i), rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
 rel::Table RandomRealizationTable(Rng* rng, size_t rows, int64_t domain) {
-  rel::Table t(VarSchema(kNumVars));
+  rel::Table t(kNumVars + 2);
   std::vector<int64_t> row(kNumVars + 2);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < kNumVars; ++c) {
@@ -60,11 +53,7 @@ rel::Table RandomRealizationTable(Rng* rng, size_t rows, int64_t domain) {
 }
 
 rel::Table RandomActionTable(Rng* rng, size_t rows, int64_t domain) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  rel::Table t(schema);
+  rel::Table t(kActionRealizationColumns);
   for (size_t r = 0; r < rows; ++r) {
     t.AppendInt64Row({static_cast<int64_t>(rng->NextBelow(domain)),
                       static_cast<int64_t>(rng->NextBelow(domain)),
@@ -85,33 +74,28 @@ double MeasureBest(Fn&& fn) {
   return best;
 }
 
-std::vector<std::string> SortedRowList(const rel::Table& t) {
-  std::vector<std::string> rows;
-  rows.reserve(t.num_rows());
+std::vector<std::vector<rel::Cell>> SortedRowList(const rel::Table& t) {
+  std::vector<std::vector<rel::Cell>> rows(t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (const rel::Value& v : t.RowValues(r)) key += v.ToString() + "|";
-    rows.push_back(std::move(key));
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      rows[r].push_back(t.column(c).CellAt(r));
+    }
   }
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
 // Order-sensitive streaming digest for positional identity checks. A digest
-// instead of a materialized row list keeps tens of MB of strings from
-// sitting on the heap while later lanes are being timed.
+// instead of a materialized row list keeps a second copy of every output
+// from sitting on the heap while later lanes are being timed.
 uint64_t TableDigest(const rel::Table& t) {
   uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= '|';
-    h *= 1099511628211ULL;
-  };
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    for (const rel::Value& v : t.RowValues(r)) mix(v.ToString());
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const rel::Column& col = t.column(c);
+      h = HashCombine(h, col.IsNull(r) ? rel::kNullCellHash
+                                       : rel::MixInt64(col.Int64At(r)));
+    }
   }
   return h;
 }
@@ -173,7 +157,7 @@ rel::Table UnfusedPipeline(const rel::Table& left, const rel::Table& right,
           ? MustTable(rel::ReferenceHashJoin(left, right, spec), "ref join")
           : MustTable(rel::HashJoin(left, right, spec), "hash join");
   const size_t n = rspec.num_left_vars;
-  rel::Table realization(VarSchema(n + 1));
+  rel::Table realization(n + 3);
   std::vector<int64_t> row(n + 3);
   for (size_t r = 0; r < joined.num_rows(); ++r) {
     int64_t t = joined.column(n + 4).Int64At(r);
@@ -229,8 +213,7 @@ SizeResult RunSize(size_t rows) {
   });
 
   // Fused operator vs the old materialize-everything pipeline.
-  rel::Table fused = MustTable(
-      JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec), "fused");
+  rel::Table fused = MustTable(JoinRealizations(left, right, rspec), "fused");
   rel::Table unfused =
       UnfusedPipeline(left, right, spec, rspec, /*reference_kernels=*/true);
   Require(SortedAssignmentWidths(fused) == SortedAssignmentWidths(unfused),
@@ -243,8 +226,7 @@ SizeResult RunSize(size_t rows) {
           "fused vs columnar unfused positional identity");
   out.fused_output_rows = fused.num_rows();
   out.fused_seconds = MeasureBest([&] {
-    rel::Table t = MustTable(
-        JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec), "fused");
+    rel::Table t = MustTable(JoinRealizations(left, right, rspec), "fused");
   });
   out.unfused_seconds = MeasureBest([&] {
     rel::Table t =

@@ -17,10 +17,7 @@ namespace {
 namespace rel = ::wiclean::relational;
 
 rel::Table RandomPairs(Rng* rng, size_t rows, int64_t domain) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  rel::Table t(schema);
+  rel::Table t(2);
   for (size_t r = 0; r < rows; ++r) {
     t.AppendInt64Row({static_cast<int64_t>(rng->NextBelow(domain)),
                       static_cast<int64_t>(rng->NextBelow(domain))});

@@ -16,20 +16,6 @@ std::string AbstractActionKey::Encode() const {
   return out;
 }
 
-namespace {
-
-rel::Table NewRealizationTable() {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  // Timestamp of the reduced action. The mining joins reference only u/v;
-  // the time column feeds realization-span computation (window tightening).
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  return rel::Table(schema);
-}
-
-}  // namespace
-
 ActionIndex::ActionIndex(const EntityRegistry* registry,
                          const RevisionStore* store, const TimeWindow& window,
                          int max_abstraction_lift)
@@ -58,7 +44,7 @@ rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
   if (u_binding == kInvalidEntityId && v_binding == kInvalidEntityId) {
     return uvt;
   }
-  rel::Table out(uvt.schema());
+  rel::Table out(uvt.num_columns());
   for (size_t r = 0; r < uvt.num_rows(); ++r) {
     if (u_binding != kInvalidEntityId &&
         uvt.column(0).Int64At(r) != u_binding) {
@@ -99,7 +85,8 @@ void ActionIndex::IngestAction(const Action& action) {
       if (it == entries_.end()) {
         it = entries_
                  .emplace(std::move(encoded),
-                          AbstractActionEntry(key, NewRealizationTable()))
+                          AbstractActionEntry(
+                              key, rel::Table(kActionRealizationColumns)))
                  .first;
       }
       it->second.realizations.AppendInt64Row(

@@ -33,9 +33,14 @@ struct AbstractActionKey {
   }
 };
 
+/// Width of an action-realization table. Its columns are (u, v, t): one row
+/// per concrete reduced edit, with u and v the source and target entity ids
+/// and t the edit's timestamp. The mining and Algorithm 3 joins glue on u and
+/// v; t feeds realization-span computation (window tightening).
+inline constexpr size_t kActionRealizationColumns = 3;
+
 /// One abstract action together with its realization relation for a window:
-/// a table ("u", "v", "t") of the concrete (source, target) entity pairs
-/// whose reduced edit realizes the key, plus the edit's timestamp.
+/// a (u, v, t) table of the concrete edits that realize the key.
 struct AbstractActionEntry {
   AbstractActionKey key;
   relational::Table realizations;
@@ -92,7 +97,7 @@ class ActionIndex {
   std::map<std::string, AbstractActionEntry> entries_;
 };
 
-/// Filters a ("u", "v", "t") action-realization table down to rows whose
+/// Filters a (u, v, t) action-realization table down to rows whose
 /// endpoints match the given value bindings (§7 value-specific patterns);
 /// kInvalidEntityId means unconstrained. Returns the input unchanged when
 /// both bindings are free.

@@ -67,19 +67,6 @@ RealizationJoinFn SelectJoin(JoinEngineKind engine) {
                                              : &NestedLoopJoinRealizations;
 }
 
-/// Mining realization tables carry one int64 column per pattern variable
-/// ("v0".."vN") plus the realization's running time span ("tmin", "tmax").
-rel::Schema RealizationSchema(size_t num_vars) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{"v" + std::to_string(i),
-                               rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
 }  // namespace
 
 /// All mining logic for one (seed type, window) pair. Owns nothing; mutates
@@ -209,7 +196,7 @@ class PatternMiner::Impl {
   struct CandidateResult {
     std::string key;
     Pattern pattern;
-    rel::Table realization{rel::Schema()};
+    rel::Table realization;
     size_t support = 0;
     bool computed = false;
   };
@@ -320,7 +307,7 @@ class PatternMiner::Impl {
       if (cached == ctx_->evaluated.end()) {
         // Distinct variables bind distinct entities: drop self-link rows.
         // Rows carry the action timestamp as a [t, t] span.
-        rel::Table realization(RealizationSchema(2));
+        rel::Table realization(4);  // v0, v1, tmin, tmax
         const rel::Table& src = entry.realizations;
         for (size_t r = 0; r < src.num_rows(); ++r) {
           int64_t su = src.column(0).Int64At(r);
@@ -444,8 +431,7 @@ class PatternMiner::Impl {
     rspec.dedup_keep_tightest = true;
     WICLEAN_ASSIGN_OR_RETURN(
         rel::Table realization,
-        join_(base.realizations, entry.realizations,
-              RealizationSchema(extended.num_vars()), rspec));
+        join_(base.realizations, entry.realizations, rspec));
     out->support =
         CountDistinctSeedSources(realization, extended.source_var());
     out->pattern = std::move(extended);
@@ -658,19 +644,8 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   // running [tmin, tmax] span of the realization's edits.
   std::vector<int> var_col(pattern.num_vars(), -1);
   const AbstractAction& first = pattern.actions()[order[0]];
-  auto make_schema = [](size_t bound_vars) {
-    rel::Schema schema;
-    for (size_t i = 0; i < bound_vars; ++i) {
-      schema.AddField(rel::Field{"c" + std::to_string(i),
-                                 rel::DataType::kInt64});
-    }
-    schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-    schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-    return schema;
-  };
-
   size_t bound_vars = 2;
-  rel::Table acc(make_schema(bound_vars));
+  rel::Table acc(bound_vars + 2);
   if (const rel::Table* r0 = realizations_of(order[0])) {
     for (size_t r = 0; r < r0->num_rows(); ++r) {
       int64_t u = r0->column(0).Int64At(r);
@@ -686,7 +661,7 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
     const AbstractAction& a = pattern.actions()[order[step]];
     const rel::Table* ra = realizations_of(order[step]);
     if (ra == nullptr) {
-      acc = rel::Table(acc.schema());
+      acc = rel::Table(acc.num_columns());
       break;
     }
     // Join + span recompute; no span prune or dedup here — fixed patterns
@@ -708,8 +683,7 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
       var_col[a.target_var] = static_cast<int>(bound_vars);
       ++bound_vars;
     }
-    WICLEAN_ASSIGN_OR_RETURN(acc,
-                             join_(acc, *ra, make_schema(bound_vars), rspec));
+    WICLEAN_ASSIGN_OR_RETURN(acc, join_(acc, *ra, rspec));
   }
 
   std::vector<RealizationSpan> spans;

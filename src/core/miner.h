@@ -121,12 +121,11 @@ class MiningContext {
  public:
   struct PatternState {
     Pattern pattern;
-    relational::Table realizations;  // columns v0..vN (empty if infrequent)
+    // Columns v0..vN, tmin, tmax; zero columns if infrequent.
+    relational::Table realizations;
     double frequency = 0;
     size_t support = 0;
     bool frequent = false;
-
-    PatternState() : realizations(relational::Schema()) {}
   };
 
   MiningContext(const EntityRegistry* registry, const RevisionStore* store,

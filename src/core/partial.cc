@@ -25,24 +25,12 @@ std::string PartialRealization::Signature() const {
 
 namespace {
 
-/// Accumulated relation schema: one nullable int64 column per pattern
-/// variable ("x<k>", coalesced bindings), then one (u, v) column pair per
-/// already-processed action ("a<i>_u", "a<i>_v") that records which concrete
-/// action realization (if any) supports the row.
-rel::Schema AccSchema(const Pattern& pattern,
-                      const std::vector<size_t>& processed) {
-  rel::Schema schema;
-  for (size_t k = 0; k < pattern.num_vars(); ++k) {
-    schema.AddField(rel::Field{"x" + std::to_string(k),
-                               rel::DataType::kInt64});
-  }
-  for (size_t i : processed) {
-    schema.AddField(rel::Field{"a" + std::to_string(i) + "_u",
-                               rel::DataType::kInt64});
-    schema.AddField(rel::Field{"a" + std::to_string(i) + "_v",
-                               rel::DataType::kInt64});
-  }
-  return schema;
+/// Width of the accumulated relation: one nullable column per pattern
+/// variable (the coalesced bindings), then one (u, v) column pair per
+/// already-processed action that records which concrete action realization
+/// (if any) supports the row.
+size_t AccWidth(const Pattern& pattern, size_t num_processed) {
+  return pattern.num_vars() + 2 * num_processed;
 }
 
 }  // namespace
@@ -60,13 +48,9 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
 
   const size_t num_vars = pattern.num_vars();
 
-  // Empty two-column relation used when an abstract action has no
+  // Empty (u, v, t) relation used when an abstract action has no
   // realizations at all in this window.
-  rel::Schema uv_schema;
-  uv_schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  uv_schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  uv_schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  const rel::Table empty_uv(uv_schema);
+  const rel::Table empty_uv(kActionRealizationColumns);
 
   std::vector<rel::Table> bound_tables;  // filtered copies for bound vars
   bound_tables.reserve(pattern.num_actions());
@@ -83,7 +67,7 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
 
   // Seed the accumulator with the first action's realizations (line 6).
   std::vector<size_t> processed = {order[0]};
-  rel::Table acc(AccSchema(pattern, processed));
+  rel::Table acc(AccWidth(pattern, processed.size()));
   {
     const AbstractAction& a0 = pattern.actions()[order[0]];
     const rel::Table& r0 = action_realizations(order[0]);
@@ -91,11 +75,11 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
       int64_t u = r0.column(0).Int64At(r);
       int64_t v = r0.column(1).Int64At(r);
       if (u == v) continue;  // distinct variables bind distinct entities
-      std::vector<rel::Value> row(num_vars + 2, rel::Value::Null());
-      row[a0.source_var] = rel::Value::Int64(u);
-      row[a0.target_var] = rel::Value::Int64(v);
-      row[num_vars] = rel::Value::Int64(u);
-      row[num_vars + 1] = rel::Value::Int64(v);
+      std::vector<rel::Cell> row(num_vars + 2);
+      row[a0.source_var] = u;
+      row[a0.target_var] = v;
+      row[num_vars] = u;
+      row[num_vars + 1] = v;
       acc.AppendRow(row);
     }
   }
@@ -139,28 +123,23 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
     // record which missing updates cause null values").
     std::vector<size_t> new_processed = processed;
     new_processed.push_back(ai);
-    rel::Table next(AccSchema(pattern, new_processed));
+    rel::Table next(AccWidth(pattern, new_processed.size()));
     const size_t lhs_width = acc.num_columns();
+    std::vector<rel::Cell> row(next.num_columns());
     for (size_t r = 0; r < joined.num_rows(); ++r) {
-      std::vector<rel::Value> row;
-      row.reserve(next.num_columns());
-      rel::Value u = joined.column(lhs_width).ValueAt(r);
-      rel::Value v = joined.column(lhs_width + 1).ValueAt(r);
+      const rel::Cell u = joined.column(lhs_width).CellAt(r);
+      const rel::Cell v = joined.column(lhs_width + 1).CellAt(r);
       for (size_t k = 0; k < num_vars; ++k) {
-        rel::Value binding = joined.column(k).ValueAt(r);
-        if (binding.is_null() && static_cast<int>(k) == a.source_var) {
-          binding = u;
-        }
-        if (binding.is_null() && static_cast<int>(k) == a.target_var) {
-          binding = v;
-        }
-        row.push_back(std::move(binding));
+        rel::Cell binding = joined.column(k).CellAt(r);
+        if (!binding && static_cast<int>(k) == a.source_var) binding = u;
+        if (!binding && static_cast<int>(k) == a.target_var) binding = v;
+        row[k] = binding;
       }
       for (size_t c = num_vars; c < lhs_width; ++c) {
-        row.push_back(joined.column(c).ValueAt(r));
+        row[c] = joined.column(c).CellAt(r);
       }
-      row.push_back(std::move(u));
-      row.push_back(std::move(v));
+      row[lhs_width] = u;
+      row[lhs_width + 1] = v;
       next.AppendRow(row);
     }
     acc = std::move(next);
@@ -170,12 +149,9 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
 
   // Deduplicate rows, then split into full and partial realizations
   // (lines 10-11: "partial_r = rows that include a null value").
-  std::vector<size_t> all_cols(acc.num_columns());
-  for (size_t c = 0; c < all_cols.size(); ++c) all_cols[c] = c;
-  WICLEAN_ASSIGN_OR_RETURN(rel::Table dedup,
-                           rel::DistinctProject(acc, all_cols));
+  const rel::Table dedup = rel::DistinctRows(acc);
 
-  // Map action index -> its "a<i>_u" column.
+  // Map action index -> its u column.
   std::vector<size_t> action_u_col(pattern.num_actions(), 0);
   for (size_t pos = 0; pos < processed.size(); ++pos) {
     action_u_col[processed[pos]] = num_vars + 2 * pos;

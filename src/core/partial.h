@@ -60,9 +60,9 @@ struct PartialDetectorOptions {
 /// (serve/online_detector.h): chains full outer joins over the per-action
 /// realization tables supplied by `realizations`, coalesces variable
 /// bindings, deduplicates, and splits the result into full and partial
-/// realizations. `realizations(i)` returns the ("u", "v", ...) table of
-/// concrete realizations of pattern action i (columns beyond u/v are
-/// ignored), or nullptr when the action has none; the returned pointer must
+/// realizations. `realizations(i)` returns the (u, v, t) table of
+/// concrete realizations of pattern action i (only u and v are
+/// read), or nullptr when the action has none; the returned pointer must
 /// stay valid for the duration of the call. Value bindings of the pattern
 /// are applied here, so callers provide unfiltered tables.
 ///

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/hash.h"
+#include "core/action_index.h"
 #include "relational/join_hash_table.h"
 #include "relational/ops.h"
 
@@ -18,25 +19,14 @@ constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV-1a offset basis
 
 Status ValidateRealizationInputs(const rel::Table& left,
                                  const rel::Table& right,
-                                 const rel::Schema& schema,
                                  const RealizationJoinSpec& spec) {
   if (left.num_columns() != spec.num_left_vars + 2) {
     return Status::InvalidArgument(
         "left realization table width != num_left_vars + 2");
   }
-  if (right.num_columns() != 3) {
+  if (right.num_columns() != kActionRealizationColumns) {
     return Status::InvalidArgument(
         "action realization table must be (u, v, t)");
-  }
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    if (left.column(c).type() != rel::DataType::kInt64) {
-      return Status::InvalidArgument("realization tables must be all-int64");
-    }
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    if (right.column(c).type() != rel::DataType::kInt64) {
-      return Status::InvalidArgument("realization tables must be all-int64");
-    }
   }
   if (spec.glue_source_col >= spec.num_left_vars) {
     return Status::InvalidArgument("glue_source_col out of range");
@@ -49,12 +39,6 @@ Status ValidateRealizationInputs(const rel::Table& left,
       return Status::InvalidArgument("distinct_from_target column out of range");
     }
   }
-  const size_t out_vars =
-      spec.num_left_vars + (spec.glue_target_col < 0 ? 1 : 0);
-  if (schema.num_fields() != out_vars + 2) {
-    return Status::InvalidArgument(
-        "output schema width != output vars + tmin + tmax");
-  }
   return Status::OK();
 }
 
@@ -62,10 +46,8 @@ Status ValidateRealizationInputs(const rel::Table& left,
 
 Result<rel::Table> JoinRealizations(const rel::Table& left,
                                     const rel::Table& right,
-                                    rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
-  WICLEAN_RETURN_IF_ERROR(
-      ValidateRealizationInputs(left, right, schema, spec));
+  WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
   const bool dedup_on = spec.dedup_keep_tightest;
@@ -172,33 +154,18 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
 
   // Bulk columnar assembly: gather the variable columns through the
   // representative rows, then the spans in one append each.
-  std::vector<rel::Column> cols;
-  cols.reserve(out_vars + 2);
-  for (size_t c = 0; c < n; ++c) {
-    rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(left.column(c), lrows);
-    cols.push_back(std::move(col));
-  }
-  if (fresh) {
-    rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(right.column(1), rrows);
-    cols.push_back(std::move(col));
-  }
-  rel::Column tmin_col(rel::DataType::kInt64);
-  tmin_col.AppendInt64Bulk(tmins);
-  cols.push_back(std::move(tmin_col));
-  rel::Column tmax_col(rel::DataType::kInt64);
-  tmax_col.AppendInt64Bulk(tmaxs);
-  cols.push_back(std::move(tmax_col));
-  return rel::Table::FromColumns(std::move(schema), std::move(cols));
+  std::vector<rel::Column> cols(out_vars + 2);
+  for (size_t c = 0; c < n; ++c) cols[c].AppendGather(left.column(c), lrows);
+  if (fresh) cols[n].AppendGather(right.column(1), rrows);
+  cols[out_vars].AppendInt64Bulk(tmins);
+  cols[out_vars + 1].AppendInt64Bulk(tmaxs);
+  return rel::Table::FromColumns(std::move(cols));
 }
 
 Result<rel::Table> NestedLoopJoinRealizations(const rel::Table& left,
                                               const rel::Table& right,
-                                              rel::Schema schema,
                                               const RealizationJoinSpec& spec) {
-  WICLEAN_RETURN_IF_ERROR(
-      ValidateRealizationInputs(left, right, schema, spec));
+  WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
   const size_t out_vars = n + (fresh ? 1 : 0);
@@ -215,7 +182,7 @@ Result<rel::Table> NestedLoopJoinRealizations(const rel::Table& left,
                            rel::NestedLoopJoin(left, right, join));
 
   // Joined layout: v0..v(n-1), tmin, tmax, u, v, t.
-  rel::Table out(std::move(schema));
+  rel::Table out(out_vars + 2);
   std::vector<int64_t> row(out_vars + 2);
   for (size_t r = 0; r < joined.num_rows(); ++r) {
     const int64_t t = joined.column(n + 4).Int64At(r);
@@ -284,20 +251,13 @@ rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {
     tmaxs.push_back(in_tmax[r]);
   }
 
-  std::vector<rel::Column> cols;
-  cols.reserve(num_vars + 2);
+  std::vector<rel::Column> cols(num_vars + 2);
   for (size_t c = 0; c < num_vars; ++c) {
-    rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(input.column(c), rep);
-    cols.push_back(std::move(col));
+    cols[c].AppendGather(input.column(c), rep);
   }
-  rel::Column tmin_col(rel::DataType::kInt64);
-  tmin_col.AppendInt64Bulk(tmins);
-  cols.push_back(std::move(tmin_col));
-  rel::Column tmax_col(rel::DataType::kInt64);
-  tmax_col.AppendInt64Bulk(tmaxs);
-  cols.push_back(std::move(tmax_col));
-  return rel::Table::FromColumns(input.schema(), std::move(cols));
+  cols[num_vars].AppendInt64Bulk(tmins);
+  cols[num_vars + 1].AppendInt64Bulk(tmaxs);
+  return rel::Table::FromColumns(std::move(cols));
 }
 
 // The old miner dedup, byte-for-byte: row materialization plus an
@@ -335,7 +295,7 @@ rel::Table ReferenceDedupKeepTightest(const rel::Table& input,
       rows.push_back(row);
     }
   }
-  rel::Table out(input.schema());
+  rel::Table out(input.num_columns());
   for (const std::vector<int64_t>& kept : rows) out.AppendInt64Row(kept);
   return out;
 }

@@ -16,9 +16,9 @@ namespace wiclean {
 /// reportable window, and optionally deduplicate by variable assignment —
 /// all in one pass, without materializing the wide join output.
 ///
-/// Left layout (the miner's invariant): `num_left_vars` int64 variable
-/// columns, then int64 "tmin", "tmax". Right layout: int64 (u, v, t) — one
-/// action occurrence per row. All cells are non-null by construction.
+/// Left layout (the miner's invariant): `num_left_vars` variable columns,
+/// then tmin, tmax. Right layout: (u, v, t) — one action occurrence per row.
+/// All cells are non-null by construction.
 struct RealizationJoinSpec {
   /// Number of variable columns on the left (left width = num_left_vars + 2).
   size_t num_left_vars = 0;
@@ -41,14 +41,13 @@ struct RealizationJoinSpec {
 
 /// The fused join → span recompute → prune → dedup operator (the PM fast
 /// path). Output layout: left variable columns in order, then — with a fresh
-/// target — the bound v column, then "tmin", "tmax"; `schema` must describe
-/// exactly that shape. Candidate rows are produced in left-major order with
+/// target — the bound v column, then tmin, tmax. Candidate rows are produced in left-major order with
 /// ascending right rows per left row (identical to NestedLoopJoin order), so
 /// the result is deterministic and byte-identical to the unfused
 /// join + filter + DedupKeepTightest composition.
 [[nodiscard]] Result<relational::Table> JoinRealizations(
     const relational::Table& left, const relational::Table& right,
-    relational::Schema schema, const RealizationJoinSpec& spec);
+    const RealizationJoinSpec& spec);
 
 /// The PM−join baseline of the same step (§6.2 "conventional main memory
 /// nested loop"): rel::NestedLoopJoin materializes the wide join, then a
@@ -57,15 +56,15 @@ struct RealizationJoinSpec {
 /// and output as JoinRealizations, row for row.
 [[nodiscard]] Result<relational::Table> NestedLoopJoinRealizations(
     const relational::Table& left, const relational::Table& right,
-    relational::Schema schema, const RealizationJoinSpec& spec);
+    const RealizationJoinSpec& spec);
 
 /// Signature shared by the two realization-join engines, so a caller picks
 /// one once and makes the same call either way.
 using RealizationJoinFn = Result<relational::Table> (*)(
     const relational::Table& left, const relational::Table& right,
-    relational::Schema schema, const RealizationJoinSpec& spec);
+    const RealizationJoinSpec& spec);
 
-/// Deduplicates an all-int64 realization table (num_vars variable columns +
+/// Deduplicates a realization table (num_vars variable columns +
 /// tmin + tmax) by variable assignment, keeping the tightest span per
 /// assignment in first-occurrence order. Flat-hash-table implementation on
 /// columnar data; output is identical to ReferenceDedupKeepTightest.

@@ -2,8 +2,7 @@
 #define WICLEAN_RELATIONAL_OPS_H_
 
 #include <cstddef>
-#include <functional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -44,12 +43,12 @@ struct JoinSpec {
 
 /// Inner equi-join via a hash table built on the right input (the paper's
 /// "join-based computation optimized by the underlying SQL engine"; this is
-/// the PM fast path). Output schema = ConcatSchemas(left, right); output rows
-/// are ordered by left row then right build order, so results are
+/// the PM fast path). Output columns are left's followed by right's; output
+/// rows are ordered by left row then right build order, so results are
 /// deterministic.
 ///
 /// Requires at least one equality pair (use NestedLoopJoin for pure theta
-/// joins) and that all equality columns have matching types.
+/// joins).
 [[nodiscard]] Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec);
 
@@ -65,33 +64,10 @@ struct JoinSpec {
 [[nodiscard]] Result<Table> FullOuterJoin(const Table& left, const Table& right,
                             const JoinSpec& spec);
 
-/// Keeps the rows for which `keep(row)` is true. The predicate receives row
-/// indices into `input`.
-Table Filter(const Table& input,
-             const std::function<bool(const Table&, size_t)>& keep);
-
-/// Keeps only rows that contain at least one null — the Algorithm 3 selection
-/// that extracts partial pattern realizations from the outer-join result.
-Table FilterRowsWithNull(const Table& input);
-
-/// Projects the given columns (by index, in order), renaming them to `names`
-/// (empty = keep source names).
-[[nodiscard]] Result<Table> Project(const Table& input, const std::vector<size_t>& cols,
-                      const std::vector<std::string>& names = {});
-
-/// Projects and deduplicates full rows; nulls compare equal to nulls for
-/// dedup purposes. Keeps first occurrence order.
-[[nodiscard]] Result<Table> DistinctProject(const Table& input,
-                              const std::vector<size_t>& cols,
-                              const std::vector<std::string>& names = {});
-
-/// Number of distinct non-null values in column `col` — the SQL
-/// COUNT(DISTINCT source_var) used to compute pattern frequency (§4.2).
-[[nodiscard]] Result<size_t> CountDistinct(const Table& input, size_t col);
-
-/// Appends all rows of `src` to `dst`; schemas must have identical field
-/// types positionally (names may differ).
-[[nodiscard]] Status AppendAll(Table* dst, const Table& src);
+/// Deduplicates whole rows; nulls compare equal to nulls for dedup
+/// purposes. Keeps first occurrences, in input order — Algorithm 3's
+/// DISTINCT over the accumulated outer-join relation.
+Table DistinctRows(const Table& input);
 
 }  // namespace wiclean::relational
 

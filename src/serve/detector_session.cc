@@ -22,7 +22,8 @@ Status DetectorSession::Start(
     std::shared_ptr<const PatternSnapshot> snapshot) {
   if (started_) return Status::FailedPrecondition("session already started");
   if (snapshot == nullptr) return Status::InvalidArgument("null snapshot");
-  started_ = true;
+  // Load every shard before marking the session started: a LoadPatterns
+  // error leaves no workers, so there is nothing to Cancel.
   for (size_t s = 0; s < options_.num_threads; ++s) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
     OnlineDetectorOptions detector_options = options_.detector;
@@ -30,9 +31,14 @@ Status DetectorSession::Start(
     detector_options.num_shards = options_.num_threads;
     shard->detector =
         std::make_unique<OnlineDetector>(registry_, detector_options);
-    WICLEAN_RETURN_IF_ERROR(shard->detector->LoadPatterns(snapshot));
+    Status loaded = shard->detector->LoadPatterns(snapshot);
+    if (!loaded.ok()) {
+      shards_.clear();
+      return loaded;
+    }
     shards_.push_back(std::move(shard));
   }
+  started_ = true;
   pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard* raw = shards_[s].get();

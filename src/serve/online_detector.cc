@@ -3,25 +3,13 @@
 #include <algorithm>
 
 #include "common/timer.h"
+#include "core/action_index.h"
 #include "relational/table.h"
 #include "revision/revision_store.h"
 
 namespace wiclean {
 
 namespace rel = ::wiclean::relational;
-
-namespace {
-
-/// Same ("u", "v", "t") layout as core/action_index.cc's realization tables.
-rel::Table NewRealizationTable() {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  return rel::Table(schema);
-}
-
-}  // namespace
 
 OnlineDetector::OnlineDetector(const EntityRegistry* registry,
                                OnlineDetectorOptions options)
@@ -40,6 +28,13 @@ Status OnlineDetector::LoadPatterns(
   if (options_.num_shards == 0 ||
       options_.shard_index >= options_.num_shards) {
     return Status::InvalidArgument("invalid shard configuration");
+  }
+  if (options_.allowed_skew < 0) {
+    // A negative skew would put the watermark ahead of the newest event and
+    // finalize windows that later in-window edits still belong to.
+    return Status::InvalidArgument("allowed_skew must be >= 0 (got " +
+                                   std::to_string(options_.allowed_skew) +
+                                   ")");
   }
   snapshot_ = std::move(snapshot);
   for (size_t i = 0; i < snapshot_->patterns.size(); ++i) {
@@ -147,7 +142,7 @@ Status OnlineDetector::Finalize(PatternState* state,
   // equivalent), then fan the net actions out to the pattern actions they
   // realize.
   std::vector<rel::Table> tables(pattern.num_actions(),
-                                 NewRealizationTable());
+                                 rel::Table(kActionRealizationColumns));
   for (auto& [key, buffer] : state->edges) {
     std::stable_sort(buffer.begin(), buffer.end(),
                      [](const SeqAction& a, const SeqAction& b) {

@@ -22,7 +22,9 @@ struct OnlineDetectorOptions {
   /// Bounded out-of-orderness the stream is allowed: the event-time
   /// watermark trails the maximum observed event time by this much, so an
   /// event may arrive up to `allowed_skew` seconds after a later-stamped one
-  /// without being dropped. 0 = the stream is promised in-order.
+  /// without being dropped. 0 = the stream is promised in-order. Must be
+  /// >= 0: LoadPatterns rejects a negative skew, which would finalize
+  /// windows before their last edits arrive.
   Timestamp allowed_skew = 0;
 
   /// Join/abstraction options; max_abstraction_lift must match the snapshot

@@ -46,7 +46,7 @@ void AppendF64(std::string* out, double v) {
   AppendU64(out, std::bit_cast<uint64_t>(v));
 }
 
-void AppendString(std::string* out, std::string_view s) {
+void AppendStr(std::string* out, std::string_view s) {
   AppendU64(out, s.size());
   out->append(s.data(), s.size());
 }
@@ -157,8 +157,8 @@ void AppendSection(std::string* out, uint32_t tag, std::string_view payload) {
 // ---------------------------------------------------------------------------
 
 void EncodeProvenance(const SnapshotProvenance& p, std::string* out) {
-  AppendString(out, p.corpus_id);
-  AppendString(out, p.tool);
+  AppendStr(out, p.corpus_id);
+  AppendStr(out, p.tool);
   AppendI64(out, p.created_unix);
   AppendF64(out, p.frequency_threshold);
   AppendU32(out, static_cast<uint32_t>(p.max_abstraction_lift));
@@ -198,7 +198,7 @@ Status EncodePattern(const StoredPattern& sp, const TypeTaxonomy& taxonomy,
       return Status::InvalidArgument(
           "pattern references unknown type id " + std::to_string(t));
     }
-    AppendString(out, taxonomy.Name(t));
+    AppendStr(out, taxonomy.Name(t));
     AppendI64(out, p.var_binding(static_cast<int>(v)));
   }
   AppendU32(out, static_cast<uint32_t>(p.source_var()));
@@ -206,7 +206,7 @@ Status EncodePattern(const StoredPattern& sp, const TypeTaxonomy& taxonomy,
   for (const AbstractAction& a : p.actions()) {
     AppendU8(out, a.op == EditOp::kAdd ? 0 : 1);
     AppendU32(out, static_cast<uint32_t>(a.source_var));
-    AppendString(out, a.relation);
+    AppendStr(out, a.relation);
     AppendU32(out, static_cast<uint32_t>(a.target_var));
   }
   AppendI64(out, sp.window.begin);

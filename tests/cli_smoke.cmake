@@ -119,7 +119,8 @@ endif()
 foreach(bad
     "--threshold;0.15;\\[0\\.2, 1\\]"
     "--threshold;0.12;\\[0\\.2, 1\\]"
-    "--threshold;abc;\\[0\\.2, 1\\]"
+    "--threshold;abc;--threshold must be a number"
+    "--threshold;0.7abc;--threshold must be a number"
     "--abstraction-lift;-1;--abstraction-lift"
     "--abstraction-lift;abc;--abstraction-lift"
     "--max-actions;abc;--max-actions"
@@ -139,6 +140,53 @@ foreach(bad
       "mine ${flag} ${value} should be rejected (rc=${rc}): ${err}")
   endif()
 endforeach()
+
+# Every other numeric flag is parsed strictly too: a malformed or
+# out-of-range value fails with InvalidArgument naming the flag instead of
+# silently running as 0 or as a truncated prefix.
+function(expect_rejected expect)
+  execute_process(
+    COMMAND ${WICLEAN} ${ARGN}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument.*${expect}")
+    message(FATAL_ERROR "'${ARGN}' should be rejected (rc=${rc}): ${err}")
+  endif()
+endfunction()
+set(corpus_flags
+  --taxonomy ${WORK_DIR}/taxonomy.tsv --alignment ${WORK_DIR}/alignment.tsv)
+set(log_flags --action-log ${WORK_DIR}/actions.wcal ${corpus_flags})
+execute_process(
+  COMMAND ${WICLEAN} pack ${log_flags}
+    --seed-type soccer_player --threshold 0.8
+    --out ${WORK_DIR}/patterns.wcps
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "pack failed: ${out}${err}")
+endif()
+set(snapshot_flags ${log_flags} --patterns ${WORK_DIR}/patterns.wcps)
+expect_rejected("--rng-seed must be an integer"
+  synth --out-dir ${WORK_DIR}/rejected --rng-seed xyz)
+expect_rejected("--block-actions must be an integer"
+  ingest --dump ${WORK_DIR}/dump.xml ${corpus_flags}
+  --out ${WORK_DIR}/rejected.wcal --block-actions abc)
+expect_rejected("--threads must be an integer"
+  ingest --dump ${WORK_DIR}/dump.xml ${corpus_flags}
+  --out ${WORK_DIR}/rejected.wcal --threads abc)
+expect_rejected("--max-print must be an integer"
+  detect ${snapshot_flags} --max-print abc)
+expect_rejected("--queue-capacity must be an integer"
+  serve ${snapshot_flags} --queue-capacity abc)
+# A negative skew would finalize windows early and drop their later edits
+# as late, so online alerts would stop matching batch detection.
+expect_rejected("--allowed-skew must be an integer >= 0"
+  serve ${snapshot_flags} --allowed-skew -2000000)
+execute_process(
+  COMMAND ${WICLEAN} serve ${snapshot_flags} --allowed-skew 0
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "potential error")
+  message(FATAL_ERROR "serve --allowed-skew 0 failed (rc=${rc}): ${out}${err}")
+endif()
+
 execute_process(
   COMMAND ${WICLEAN} bogus-subcommand
   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)

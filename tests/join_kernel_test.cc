@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/action_index.h"
 #include "core/miner.h"
 #include "core/realization_join.h"
 #include "relational/join_hash_table.h"
@@ -28,54 +29,44 @@ namespace {
 
 namespace rel = ::wiclean::relational;
 
-// Mixed-type table: two int64 columns, one string column, one more int64 —
-// each cell null with probability null_pct/100.
-rel::Table RandomMixedTable(Rng* rng, size_t rows, int64_t domain,
-                            uint64_t null_pct) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"a", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"b", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"s", rel::DataType::kString});
-  schema.AddField(rel::Field{"c", rel::DataType::kInt64});
-  rel::Table t(schema);
+// Four-column table, each cell null with probability null_pct/100.
+rel::Table RandomNullableTable(Rng* rng, size_t rows, int64_t domain,
+                               uint64_t null_pct) {
+  rel::Table t(4);
+  std::vector<rel::Cell> row(4);
   for (size_t r = 0; r < rows; ++r) {
-    std::vector<rel::Value> row;
-    for (size_t c = 0; c < 4; ++c) {
-      if (rng->NextBelow(100) < null_pct) {
-        row.push_back(rel::Value::Null());
-      } else if (c == 2) {
-        row.push_back(rel::Value::String(
-            "s" + std::to_string(rng->NextBelow(domain))));
-      } else {
-        row.push_back(rel::Value::Int64(
-            static_cast<int64_t>(rng->NextBelow(domain))));
-      }
+    for (rel::Cell& cell : row) {
+      cell = rng->NextBelow(100) < null_pct
+                 ? rel::Cell()
+                 : rel::Cell(static_cast<int64_t>(rng->NextBelow(domain)));
     }
     t.AppendRow(row);
   }
   return t;
 }
 
-// Row renderings in table order (exact, order-sensitive comparison).
-std::vector<std::string> RowList(const rel::Table& t) {
-  std::vector<std::string> rows;
-  rows.reserve(t.num_rows());
+using Row = std::vector<rel::Cell>;
+
+// Rows in table order (exact, order-sensitive comparison).
+std::vector<Row> RowList(const rel::Table& t) {
+  std::vector<Row> rows(t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (const rel::Value& v : t.RowValues(r)) key += v.ToString() + "|";
-    rows.push_back(std::move(key));
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      rows[r].push_back(t.column(c).CellAt(r));
+    }
   }
   return rows;
 }
 
-std::vector<std::string> SortedRowList(const rel::Table& t) {
-  std::vector<std::string> rows = RowList(t);
+std::vector<Row> SortedRowList(const rel::Table& t) {
+  std::vector<Row> rows = RowList(t);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-// The join specs exercised against every random table pair: int64 and string
-// equality keys, inequalities, wildcards, and the null-tolerant mode.
+// The join specs exercised against every random table pair: one- and
+// two-column equality keys, inequalities, wildcards, and the null-tolerant
+// mode.
 std::vector<rel::JoinSpec> SpecZoo() {
   std::vector<rel::JoinSpec> specs;
   rel::JoinSpec s;
@@ -83,9 +74,9 @@ std::vector<rel::JoinSpec> SpecZoo() {
   specs.push_back(s);
   s.equal_cols = {{0, 0}, {1, 1}};
   specs.push_back(s);
-  s.equal_cols = {{2, 2}};  // string key
+  s.equal_cols = {{2, 2}};
   specs.push_back(s);
-  s.equal_cols = {{0, 0}, {2, 2}};  // mixed int64 + string key
+  s.equal_cols = {{0, 0}, {2, 2}};
   specs.push_back(s);
   s = rel::JoinSpec{};
   s.equal_cols = {{0, 0}};
@@ -115,9 +106,9 @@ class JoinKernelTest : public ::testing::TestWithParam<KernelCase> {};
 TEST_P(JoinKernelTest, HashJoinMatchesNestedLoopExactly) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table left = RandomNullableTable(&rng, c.left_rows, c.domain, c.null_pct);
   rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+      RandomNullableTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (const rel::JoinSpec& spec : SpecZoo()) {
     Result<rel::Table> h = rel::HashJoin(left, right, spec);
     Result<rel::Table> n = rel::NestedLoopJoin(left, right, spec);
@@ -132,9 +123,9 @@ TEST_P(JoinKernelTest, HashJoinMatchesNestedLoopExactly) {
 TEST_P(JoinKernelTest, HashJoinMatchesMultimapReferenceAsBag) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0x1234abcd);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table left = RandomNullableTable(&rng, c.left_rows, c.domain, c.null_pct);
   rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+      RandomNullableTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (const rel::JoinSpec& spec : SpecZoo()) {
     Result<rel::Table> h = rel::HashJoin(left, right, spec);
     Result<rel::Table> ref = rel::ReferenceHashJoin(left, right, spec);
@@ -149,9 +140,9 @@ TEST_P(JoinKernelTest, HashJoinMatchesMultimapReferenceAsBag) {
 TEST_P(JoinKernelTest, FullOuterJoinMatchesExhaustivePath) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0x77);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table left = RandomNullableTable(&rng, c.left_rows, c.domain, c.null_pct);
   rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+      RandomNullableTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (rel::JoinSpec spec : SpecZoo()) {
     spec.prefer_nested_loop = false;
     Result<rel::Table> fast = rel::FullOuterJoin(left, right, spec);
@@ -168,23 +159,18 @@ TEST_P(JoinKernelTest, FullOuterJoinMatchesExhaustivePath) {
 TEST_P(JoinKernelTest, DistinctProjectKeepsFirstOccurrences) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0xbeef);
-  rel::Table input = RandomMixedTable(&rng, c.left_rows, 3, c.null_pct);
-
-  std::vector<size_t> cols = {0, 2};
-  Result<rel::Table> fast = rel::DistinctProject(input, cols);
-  ASSERT_TRUE(fast.ok());
+  rel::Table input = RandomNullableTable(&rng, c.left_rows, 3, c.null_pct);
+  rel::Table fast = rel::DistinctRows(input);
 
   // Naive order-preserving reference: linear scan over kept rows with
   // null == null semantics.
-  Result<rel::Table> projected = rel::Project(input, cols);
-  ASSERT_TRUE(projected.ok());
-  std::vector<std::string> keep;
-  for (const std::string& row : RowList(*projected)) {
+  std::vector<Row> keep;
+  for (const Row& row : RowList(input)) {
     if (std::find(keep.begin(), keep.end(), row) == keep.end()) {
       keep.push_back(row);
     }
   }
-  EXPECT_EQ(RowList(*fast), keep) << "seed " << c.seed;
+  EXPECT_EQ(RowList(fast), keep) << "seed " << c.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,20 +187,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Realization-table kernels.
 
-rel::Schema VarSchema(size_t num_vars, const char* prefix) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{prefix + std::to_string(i),
-                               rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
 rel::Table RandomRealizationTable(Rng* rng, size_t rows, size_t num_vars,
                                   int64_t domain, int64_t horizon) {
-  rel::Table t(VarSchema(num_vars, "v"));
+  rel::Table t(num_vars + 2);
   std::vector<int64_t> row(num_vars + 2);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < num_vars; ++c) {
@@ -231,11 +206,7 @@ rel::Table RandomRealizationTable(Rng* rng, size_t rows, size_t num_vars,
 
 rel::Table RandomActionTable(Rng* rng, size_t rows, int64_t domain,
                              int64_t horizon) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  rel::Table t(schema);
+  rel::Table t(kActionRealizationColumns);
   for (size_t r = 0; r < rows; ++r) {
     t.AppendInt64Row({static_cast<int64_t>(rng->NextBelow(domain)),
                       static_cast<int64_t>(rng->NextBelow(domain)),
@@ -288,13 +259,10 @@ TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
       for (bool dedup : {false, true}) {
         rs.max_span = max_span;
         rs.dedup_keep_tightest = dedup;
-        const size_t out_vars =
-            c.num_vars + (rs.glue_target_col < 0 ? 1 : 0);
-        Result<rel::Table> fused =
-            JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+        Result<rel::Table> fused = JoinRealizations(left, right, rs);
         ASSERT_TRUE(fused.ok());
-        Result<rel::Table> nested = NestedLoopJoinRealizations(
-            left, right, VarSchema(out_vars, "v"), rs);
+        Result<rel::Table> nested =
+            NestedLoopJoinRealizations(left, right, rs);
         ASSERT_TRUE(nested.ok());
         EXPECT_EQ(RowList(*fused), RowList(*nested))
             << "seed " << c.seed << " max_span " << max_span << " dedup "

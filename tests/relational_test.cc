@@ -6,77 +6,36 @@
 namespace wiclean::relational {
 namespace {
 
-Schema TwoIntCols(const std::string& a, const std::string& b) {
-  Schema s;
-  s.AddField(Field{a, DataType::kInt64});
-  s.AddField(Field{b, DataType::kInt64});
-  return s;
-}
-
-Table MakeTable(const std::string& a, const std::string& b,
-                const std::vector<std::pair<int64_t, int64_t>>& rows) {
-  Table t(TwoIntCols(a, b));
+Table MakeTable(const std::vector<std::pair<int64_t, int64_t>>& rows) {
+  Table t(2);
   for (const auto& [x, y] : rows) t.AppendInt64Row({x, y});
   return t;
 }
 
-// ---------- Value ----------
-
-TEST(ValueTest, NullSemantics) {
-  Value null = Value::Null();
-  EXPECT_TRUE(null.is_null());
-  EXPECT_FALSE(null.SqlEquals(null));     // SQL: null != null
-  EXPECT_TRUE(null == Value::Null());     // structural: null == null
-  EXPECT_EQ(null.ToString(), "NULL");
-}
-
-TEST(ValueTest, TypedValues) {
-  Value i = Value::Int64(7);
-  Value s = Value::String("x");
-  EXPECT_TRUE(i.SqlEquals(Value::Int64(7)));
-  EXPECT_FALSE(i.SqlEquals(Value::Int64(8)));
-  EXPECT_FALSE(i.SqlEquals(s));
-  EXPECT_EQ(i.ToString(), "7");
-  EXPECT_EQ(s.ToString(), "\"x\"");
-}
-
-// ---------- Schema / Table ----------
-
-TEST(SchemaTest, FieldIndexLookup) {
-  Schema s = TwoIntCols("u", "v");
-  EXPECT_EQ(*s.FieldIndex("v"), 1u);
-  EXPECT_FALSE(s.FieldIndex("w").ok());
-  EXPECT_TRUE(s.HasField("u"));
-}
+// ---------- Table ----------
 
 TEST(TableTest, AppendAndRead) {
-  Table t = MakeTable("u", "v", {{1, 2}, {3, 4}});
+  Table t = MakeTable({{1, 2}, {3, 4}});
   EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.num_columns(), 2u);
   EXPECT_EQ(t.column(0).Int64At(1), 3);
-  EXPECT_EQ(t.RowValues(0),
-            (std::vector<Value>{Value::Int64(1), Value::Int64(2)}));
-  EXPECT_FALSE(t.RowHasNull(0));
+  EXPECT_EQ(t.column(1).CellAt(0), Cell(2));
+  EXPECT_FALSE(t.column(0).IsNull(0));
 }
 
 TEST(TableTest, NullRows) {
-  Table t(TwoIntCols("u", "v"));
-  t.AppendRow({Value::Int64(1), Value::Null()});
-  EXPECT_TRUE(t.RowHasNull(0));
+  Table t(2);
+  t.AppendRow({Cell(1), Cell()});
+  EXPECT_FALSE(t.column(0).IsNull(0));
   EXPECT_TRUE(t.column(1).IsNull(0));
-}
-
-TEST(TableTest, ConcatSchemasDisambiguates) {
-  Schema s = ConcatSchemas(TwoIntCols("u", "v"), TwoIntCols("v", "w"));
-  EXPECT_EQ(s.num_fields(), 4u);
-  EXPECT_EQ(s.field(2).name, "v_r");
-  EXPECT_EQ(s.field(3).name, "w");
+  EXPECT_EQ(t.column(1).CellAt(0), std::nullopt);
 }
 
 // ---------- Joins ----------
 
 TEST(HashJoinTest, BasicEquiJoin) {
-  Table left = MakeTable("a", "b", {{1, 10}, {2, 20}, {3, 30}});
-  Table right = MakeTable("u", "v", {{10, 100}, {20, 200}, {99, 999}});
+  Table left = MakeTable({{1, 10}, {2, 20}, {3, 30}});
+  Table right = MakeTable({{10, 100}, {20, 200}, {99, 999}});
   JoinSpec spec;
   spec.equal_cols = {{1, 0}};  // b == u
   Result<Table> joined = HashJoin(left, right, spec);
@@ -86,13 +45,13 @@ TEST(HashJoinTest, BasicEquiJoin) {
 }
 
 TEST(HashJoinTest, RequiresEquality) {
-  Table t = MakeTable("a", "b", {{1, 2}});
+  Table t = MakeTable({{1, 2}});
   JoinSpec spec;  // no equalities
   EXPECT_FALSE(HashJoin(t, t, spec).ok());
 }
 
 TEST(HashJoinTest, RejectsOutOfRangeColumns) {
-  Table t = MakeTable("a", "b", {{1, 2}});
+  Table t = MakeTable({{1, 2}});
   JoinSpec spec;
   spec.equal_cols = {{5, 0}};
   EXPECT_FALSE(HashJoin(t, t, spec).ok());
@@ -100,8 +59,8 @@ TEST(HashJoinTest, RejectsOutOfRangeColumns) {
 
 TEST(HashJoinTest, InequalityResidual) {
   // Join on a == u, but require b != v.
-  Table left = MakeTable("a", "b", {{1, 7}, {1, 8}});
-  Table right = MakeTable("u", "v", {{1, 7}});
+  Table left = MakeTable({{1, 7}, {1, 8}});
+  Table right = MakeTable({{1, 7}});
   JoinSpec spec;
   spec.equal_cols = {{0, 0}};
   spec.not_equal_cols = {{1, 1}};
@@ -112,9 +71,9 @@ TEST(HashJoinTest, InequalityResidual) {
 }
 
 TEST(HashJoinTest, NullKeysNeverMatch) {
-  Table left(TwoIntCols("a", "b"));
-  left.AppendRow({Value::Null(), Value::Int64(1)});
-  Table right = MakeTable("u", "v", {{1, 1}});
+  Table left(2);
+  left.AppendRow({Cell(), Cell(1)});
+  Table right = MakeTable({{1, 1}});
   JoinSpec spec;
   spec.equal_cols = {{0, 0}};
   Result<Table> joined = HashJoin(left, right, spec);
@@ -123,8 +82,8 @@ TEST(HashJoinTest, NullKeysNeverMatch) {
 }
 
 TEST(NestedLoopJoinTest, MatchesHashJoinOnEquiJoin) {
-  Table left = MakeTable("a", "b", {{1, 10}, {2, 20}, {2, 21}});
-  Table right = MakeTable("u", "v", {{2, 5}, {1, 6}});
+  Table left = MakeTable({{1, 10}, {2, 20}, {2, 21}});
+  Table right = MakeTable({{2, 5}, {1, 6}});
   JoinSpec spec;
   spec.equal_cols = {{0, 0}};
   Result<Table> h = HashJoin(left, right, spec);
@@ -135,8 +94,8 @@ TEST(NestedLoopJoinTest, MatchesHashJoinOnEquiJoin) {
 }
 
 TEST(NestedLoopJoinTest, SupportsPureThetaJoin) {
-  Table left = MakeTable("a", "b", {{1, 0}, {2, 0}});
-  Table right = MakeTable("u", "v", {{1, 0}, {3, 0}});
+  Table left = MakeTable({{1, 0}, {2, 0}});
+  Table right = MakeTable({{1, 0}, {3, 0}});
   JoinSpec spec;
   spec.not_equal_cols = {{0, 0}};  // a != u
   Result<Table> joined = NestedLoopJoin(left, right, spec);
@@ -147,21 +106,25 @@ TEST(NestedLoopJoinTest, SupportsPureThetaJoin) {
 // ---------- Full outer join ----------
 
 TEST(FullOuterJoinTest, PadsBothSides) {
-  Table left = MakeTable("a", "b", {{1, 10}, {2, 20}});
-  Table right = MakeTable("u", "v", {{10, 100}, {30, 300}});
+  Table left = MakeTable({{1, 10}, {2, 20}});
+  Table right = MakeTable({{10, 100}, {30, 300}});
   JoinSpec spec;
   spec.equal_cols = {{1, 0}};
   Result<Table> joined = FullOuterJoin(left, right, spec);
   ASSERT_TRUE(joined.ok());
   // 1 match + 1 left-only + 1 right-only.
   EXPECT_EQ(joined->num_rows(), 3u);
-  Table partial = FilterRowsWithNull(*joined);
-  EXPECT_EQ(partial.num_rows(), 2u);
+  EXPECT_EQ(joined->num_columns(), 4u);
+  // Row 0 is the match; the left-only row is null on the right, the
+  // right-only row null on the left.
+  EXPECT_FALSE(joined->column(2).IsNull(0));
+  EXPECT_TRUE(joined->column(2).IsNull(1));
+  EXPECT_TRUE(joined->column(0).IsNull(2));
 }
 
 TEST(FullOuterJoinTest, EmptyRightPadsAllLeft) {
-  Table left = MakeTable("a", "b", {{1, 10}});
-  Table right(TwoIntCols("u", "v"));
+  Table left = MakeTable({{1, 10}});
+  Table right(2);
   JoinSpec spec;
   spec.equal_cols = {{1, 0}};
   Result<Table> joined = FullOuterJoin(left, right, spec);
@@ -172,9 +135,9 @@ TEST(FullOuterJoinTest, EmptyRightPadsAllLeft) {
 }
 
 TEST(FullOuterJoinTest, NullInequalityModes) {
-  Table left(TwoIntCols("a", "b"));
-  left.AppendRow({Value::Int64(1), Value::Null()});
-  Table right = MakeTable("u", "v", {{1, 5}});
+  Table left(2);
+  left.AppendRow({Cell(1), Cell()});
+  Table right = MakeTable({{1, 5}});
   JoinSpec spec;
   spec.equal_cols = {{0, 0}};
   spec.not_equal_cols = {{1, 1}};  // b != v, but b is null
@@ -190,10 +153,10 @@ TEST(FullOuterJoinTest, NullInequalityModes) {
 }
 
 TEST(FullOuterJoinTest, WildcardEquality) {
-  Table left(TwoIntCols("a", "b"));
-  left.AppendRow({Value::Int64(1), Value::Null()});
-  left.AppendRow({Value::Int64(1), Value::Int64(9)});
-  Table right = MakeTable("u", "v", {{1, 5}});
+  Table left(2);
+  left.AppendRow({Cell(1), Cell()});
+  left.AppendRow({Cell(1), Cell(9)});
+  Table right = MakeTable({{1, 5}});
   JoinSpec spec;
   spec.equal_cols = {{0, 0}};
   spec.wildcard_equal_cols = {{1, 1}};  // b ~= v (null matches anything)
@@ -203,66 +166,22 @@ TEST(FullOuterJoinTest, WildcardEquality) {
   EXPECT_EQ(joined->num_rows(), 2u);
 }
 
-// ---------- Project / distinct / filter / count ----------
-
-TEST(ProjectTest, SelectsAndRenames) {
-  Table t = MakeTable("a", "b", {{1, 2}, {3, 4}});
-  Result<Table> p = Project(t, {1}, {"x"});
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->schema().field(0).name, "x");
-  EXPECT_EQ(p->column(0).Int64At(1), 4);
-}
-
-TEST(ProjectTest, RejectsBadArgs) {
-  Table t = MakeTable("a", "b", {{1, 2}});
-  EXPECT_FALSE(Project(t, {7}).ok());
-  EXPECT_FALSE(Project(t, {0, 1}, {"just_one"}).ok());
-}
+// ---------- Distinct ----------
 
 TEST(DistinctProjectTest, RemovesDuplicates) {
-  Table t = MakeTable("a", "b", {{1, 2}, {1, 2}, {1, 3}});
-  Result<Table> d = DistinctProject(t, {0, 1});
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->num_rows(), 2u);
+  Table t = MakeTable({{1, 2}, {1, 2}, {1, 3}});
+  Table d = DistinctRows(t);
+  EXPECT_EQ(d.num_rows(), 2u);
+  EXPECT_EQ(d.column(1).Int64At(1), 3);
 }
 
 TEST(DistinctProjectTest, NullsCompareEqualForDedup) {
-  Table t(TwoIntCols("a", "b"));
-  t.AppendRow({Value::Int64(1), Value::Null()});
-  t.AppendRow({Value::Int64(1), Value::Null()});
-  Result<Table> d = DistinctProject(t, {0, 1});
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->num_rows(), 1u);
-}
-
-TEST(CountDistinctTest, IgnoresNulls) {
-  Table t(TwoIntCols("a", "b"));
-  t.AppendRow({Value::Int64(1), Value::Int64(1)});
-  t.AppendRow({Value::Int64(1), Value::Int64(2)});
-  t.AppendRow({Value::Null(), Value::Int64(3)});
-  EXPECT_EQ(*CountDistinct(t, 0), 1u);
-  EXPECT_EQ(*CountDistinct(t, 1), 3u);
-  EXPECT_FALSE(CountDistinct(t, 9).ok());
-}
-
-TEST(FilterTest, KeepsMatchingRows) {
-  Table t = MakeTable("a", "b", {{1, 2}, {5, 6}, {7, 8}});
-  Table f = Filter(t, [](const Table& tab, size_t r) {
-    return tab.column(0).Int64At(r) > 2;
-  });
-  EXPECT_EQ(f.num_rows(), 2u);
-}
-
-TEST(AppendAllTest, ChecksSchemas) {
-  Table a = MakeTable("a", "b", {{1, 2}});
-  Table b = MakeTable("x", "y", {{3, 4}});  // same types, different names: OK
-  EXPECT_TRUE(AppendAll(&a, b).ok());
-  EXPECT_EQ(a.num_rows(), 2u);
-
-  Schema mixed;
-  mixed.AddField(Field{"s", DataType::kString});
-  Table c(mixed);
-  EXPECT_FALSE(AppendAll(&a, c).ok());
+  Table t(2);
+  t.AppendRow({Cell(1), Cell()});
+  t.AppendRow({Cell(1), Cell()});
+  Table d = DistinctRows(t);
+  EXPECT_EQ(d.num_rows(), 1u);
+  EXPECT_TRUE(d.column(1).IsNull(0));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/partial.h"
 #include "core/window_search.h"
 #include "report/report.h"
+#include "serve/detector_service.h"
 #include "serve/detector_session.h"
 #include "serve/online_detector.h"
 #include "serve/pattern_index.h"
@@ -557,6 +558,32 @@ TEST_F(OnlineDetectorEdgeTest, ObserveAfterFinishFails) {
       detector.Observe(MakeAction(p0_, "current_club", c0_, 10), 0, &alerts)
           .ok());
   EXPECT_FALSE(detector.FinishStream(&alerts).ok());
+}
+
+// A negative skew would put the watermark ahead of the newest event, so
+// windows would finalize early and their later edits be dropped as late:
+// online alerts would silently stop matching the batch sweep. Both the
+// detector and a service session must refuse it up front.
+TEST_F(OnlineDetectorEdgeTest, NegativeSkewIsRejected) {
+  OnlineDetectorOptions options;
+  options.allowed_skew = -50;
+  OnlineDetector detector(registry_.get(), options);
+  Status loaded = detector.LoadPatterns(snapshot_);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << loaded.ToString();
+
+  DetectorServiceOptions service_options;
+  service_options.detector.allowed_skew = -1;
+  DetectorService service(registry_.get(), service_options);
+  service.PublishSnapshot(snapshot_);
+  Result<TenantId> tenant = service.OpenSession();
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_EQ(tenant.status().code(), StatusCode::kInvalidArgument);
+
+  // Zero skew (the in-order promise) still opens.
+  service_options.detector.allowed_skew = 0;
+  DetectorService ok_service(registry_.get(), service_options);
+  ok_service.PublishSnapshot(snapshot_);
+  EXPECT_TRUE(ok_service.OpenSession().ok());
 }
 
 TEST_F(OnlineDetectorEdgeTest, ShardPartitionCoversEveryPatternOnce) {

@@ -117,21 +117,23 @@ class Args {
     return it->second;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
+  /// Fails unless the whole value is a decimal number.
+  Result<double> GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    if (it == values_.end()) return fallback;
+    const char* begin = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE) {
+      return Status::InvalidArgument("--" + key + " must be a number (got '" +
+                                     it->second + "')");
+    }
+    return value;
   }
 
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
-  /// Like GetInt, but fails unless the whole value is a decimal integer in
-  /// [min, max] (GetInt parses "abc" as 0 and "-1" wraps in a size_t cast).
+  /// The CLI's one integer parser: fails unless the whole value is a
+  /// decimal integer in [min, max].
   Result<int64_t> GetIntInRange(
       const std::string& key, int64_t fallback, int64_t min,
       int64_t max = std::numeric_limits<int64_t>::max()) const {
@@ -143,12 +145,14 @@ class Args {
     const int64_t value = std::strtoll(begin, &end, 10);
     if (end == begin || *end != '\0' || errno == ERANGE || value < min ||
         value > max) {
-      const std::string range =
-          max == std::numeric_limits<int64_t>::max()
-              ? ">= " + std::to_string(min)
-              : "in [" + std::to_string(min) + ", " + std::to_string(max) +
-                    "]";
-      return Status::InvalidArgument("--" + key + " must be an integer " +
+      std::string range;
+      if (max != std::numeric_limits<int64_t>::max()) {
+        range = " in [" + std::to_string(min) + ", " + std::to_string(max) +
+                "]";
+      } else if (min != std::numeric_limits<int64_t>::min()) {
+        range = " >= " + std::to_string(min);
+      }
+      return Status::InvalidArgument("--" + key + " must be an integer" +
                                      range + " (got '" + it->second + "')");
     }
     return value;
@@ -196,10 +200,8 @@ Result<IngestArgs> ParseIngestArgs(const Args& args) {
   // --threads N fans the parse/diff (or block-decode) stage out across N
   // pipeline workers; the resulting store is identical to a sequential
   // ingest (ordered merge).
-  int64_t threads = args.GetInt("threads", 1);
-  if (threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
+  WICLEAN_ASSIGN_OR_RETURN(int64_t threads,
+                           args.GetIntInRange("threads", 1, 1));
   parsed.num_threads = static_cast<size_t>(threads);
 
   // --on-error selects the fault policy; strict (the default) fails fast.
@@ -220,14 +222,21 @@ Result<IngestArgs> ParseIngestArgs(const Args& args) {
         "--on-error must be strict, skip, or quarantine (got '" + on_error +
         "')");
   }
-  parsed.limits.max_revision_bytes =
-      static_cast<size_t>(args.GetInt("max-revision-bytes", 0));
-  parsed.limits.max_revisions_per_page =
-      static_cast<size_t>(args.GetInt("max-revisions-per-page", 0));
-  parsed.limits.max_actions_per_page =
-      static_cast<size_t>(args.GetInt("max-actions-per-page", 0));
-  parsed.limits.max_infobox_nesting_depth =
-      static_cast<int>(args.GetInt("max-infobox-depth", 0));
+  // Resource guards: 0 (the default) = unlimited.
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_revision_bytes,
+                           args.GetIntInRange("max-revision-bytes", 0, 0));
+  parsed.limits.max_revision_bytes = static_cast<size_t>(max_revision_bytes);
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_revisions,
+                           args.GetIntInRange("max-revisions-per-page", 0, 0));
+  parsed.limits.max_revisions_per_page = static_cast<size_t>(max_revisions);
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_actions,
+                           args.GetIntInRange("max-actions-per-page", 0, 0));
+  parsed.limits.max_actions_per_page = static_cast<size_t>(max_actions);
+  WICLEAN_ASSIGN_OR_RETURN(
+      int64_t max_depth,
+      args.GetIntInRange("max-infobox-depth", 0, 0,
+                         std::numeric_limits<int>::max()));
+  parsed.limits.max_infobox_nesting_depth = static_cast<int>(max_depth);
   return parsed;
 }
 
@@ -331,7 +340,8 @@ struct SearchRun {
 Result<SearchRun> RunSearch(const LoadedCorpus& corpus, const Args& args) {
   WindowSearchOptions options;
   // Range-checked by WindowSearch::Run (the paper's [0.2, 1]).
-  options.initial_threshold = args.GetDouble("threshold", 0.7);
+  WICLEAN_ASSIGN_OR_RETURN(options.initial_threshold,
+                           args.GetDouble("threshold", 0.7));
   WICLEAN_ASSIGN_OR_RETURN(
       int64_t lift, args.GetIntInRange("abstraction-lift", 1, 0,
                                        std::numeric_limits<int>::max()));
@@ -409,13 +419,15 @@ std::vector<std::pair<Action, uint64_t>> BuildCanonicalFeed(
 int PrintReports(const LoadedCorpus& corpus,
                  const std::vector<PartialUpdateReport>& reports,
                  const Args& args) {
+  Result<int64_t> max_print_flag = args.GetIntInRange("max-print", 20, 0);
+  if (!max_print_flag.ok()) return Fail(max_print_flag.status());
+  const size_t max_print = static_cast<size_t>(*max_print_flag);
   size_t total_signals = 0;
   for (const PartialUpdateReport& report : reports) {
     total_signals += report.partials.size();
   }
   std::printf("%zu pattern(s) scanned, %zu potential error(s)\n",
               reports.size(), total_signals);
-  size_t max_print = static_cast<size_t>(args.GetInt("max-print", 20));
   size_t printed = 0;
   for (const PartialUpdateReport& report : reports) {
     for (const PartialRealization& pr : report.partials) {
@@ -484,7 +496,10 @@ int RunPack(const Args& args) {
   PatternSnapshot snapshot =
       SnapshotOf(*run, args.Get("corpus-id", args.Get("dump", "")),
                  "wiclean pack");
-  snapshot.provenance.created_unix = args.GetInt("created-unix", 0);
+  Result<int64_t> created_unix = args.GetIntInRange(
+      "created-unix", 0, std::numeric_limits<int64_t>::min());
+  if (!created_unix.ok()) return Fail(created_unix.status());
+  snapshot.provenance.created_unix = *created_unix;
   Status status = SaveSnapshotFile(snapshot, *corpus->taxonomy, *out_path);
   if (!status.ok()) return Fail(status);
   // Verify the artifact is loadable before declaring success.
@@ -496,6 +511,34 @@ int RunPack(const Args& args) {
   return 0;
 }
 
+/// The service flags of `wiclean serve` and `wiclean detect --online 1`.
+Result<DetectorServiceOptions> ParseServiceOptions(
+    const Args& args, const PatternSnapshot& snapshot) {
+  DetectorServiceOptions options;
+  WICLEAN_ASSIGN_OR_RETURN(int64_t feed_threads,
+                           args.GetIntInRange("feed-threads", 1, 1));
+  options.shards_per_tenant = static_cast<size_t>(feed_threads);
+  // A negative skew would finalize windows before their last edits arrive.
+  WICLEAN_ASSIGN_OR_RETURN(options.detector.allowed_skew,
+                           args.GetIntInRange("allowed-skew", 0, 0));
+  options.detector.detector.max_abstraction_lift =
+      snapshot.provenance.max_abstraction_lift;
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_tenants,
+                           args.GetIntInRange("max-tenants", 64, 1));
+  options.max_tenants = static_cast<size_t>(max_tenants);
+  // Default 0 = block on backpressure: the faithful batch-replay mode (any
+  // value <= 0 blocks). A positive deadline turns sustained overload into
+  // explicit shed events.
+  WICLEAN_ASSIGN_OR_RETURN(
+      options.feed_deadline_ms,
+      args.GetIntInRange("feed-deadline-ms", 0,
+                         std::numeric_limits<int64_t>::min()));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t queue_capacity,
+                           args.GetIntInRange("queue-capacity", 256, 1));
+  options.tenant_queue_capacity = static_cast<size_t>(queue_capacity);
+  return options;
+}
+
 /// Shared online path of `wiclean serve` and `wiclean detect --online 1`:
 /// replays the corpus's revision log through a multi-tenant DetectorService
 /// against the packed patterns. One tenant replaying the full stream is the
@@ -504,30 +547,11 @@ int RunPack(const Args& args) {
 /// opened later pin the newer epoch — in-flight ones are untouched).
 int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
               const Args& args) {
-  DetectorServiceOptions options;
-  int64_t feed_threads = args.GetInt("feed-threads", 1);
-  if (feed_threads < 1) {
-    return Fail(Status::InvalidArgument("--feed-threads must be >= 1"));
-  }
-  options.shards_per_tenant = static_cast<size_t>(feed_threads);
-  options.detector.allowed_skew = args.GetInt("allowed-skew", 0);
-  options.detector.detector.max_abstraction_lift =
-      snapshot.provenance.max_abstraction_lift;
-  int64_t max_tenants = args.GetInt("max-tenants", 64);
-  if (max_tenants < 1) {
-    return Fail(Status::InvalidArgument("--max-tenants must be >= 1"));
-  }
-  options.max_tenants = static_cast<size_t>(max_tenants);
-  // Default 0 = block on backpressure: the faithful batch-replay mode. A
-  // positive deadline turns sustained overload into explicit shed events.
-  options.feed_deadline_ms = args.GetInt("feed-deadline-ms", 0);
-  options.tenant_queue_capacity =
-      static_cast<size_t>(args.GetInt("queue-capacity", 256));
-
-  int64_t num_tenants = args.GetInt("tenants", 1);
-  if (num_tenants < 1) {
-    return Fail(Status::InvalidArgument("--tenants must be >= 1"));
-  }
+  Result<DetectorServiceOptions> parsed = ParseServiceOptions(args, snapshot);
+  if (!parsed.ok()) return Fail(parsed.status());
+  const DetectorServiceOptions& options = *parsed;
+  Result<int64_t> num_tenants = args.GetIntInRange("tenants", 1, 1);
+  if (!num_tenants.ok()) return Fail(num_tenants.status());
   std::vector<std::string> reload_paths;
   for (const std::string& part : SplitString(args.Get("reload", ""), ',')) {
     if (!part.empty()) reload_paths.push_back(part);
@@ -548,9 +572,9 @@ int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
     uint64_t shed = 0;
   };
   std::vector<OpenTenant> tenants;
-  std::vector<size_t> open_at(static_cast<size_t>(num_tenants), 0);
+  std::vector<size_t> open_at(static_cast<size_t>(*num_tenants), 0);
   for (size_t i = 0; i < open_at.size(); ++i) {
-    open_at[i] = feed.size() * i / static_cast<size_t>(num_tenants);
+    open_at[i] = feed.size() * i / static_cast<size_t>(*num_tenants);
   }
   std::vector<size_t> reload_at(reload_paths.size(), 0);
   for (size_t j = 0; j < reload_paths.size(); ++j) {
@@ -681,18 +705,23 @@ int RunServe(const Args& args) {
 int RunSynth(const Args& args) {
   Result<std::string> out_dir = args.Require("out-dir");
   if (!out_dir.ok()) return Fail(out_dir.status());
+  Result<int64_t> seeds = args.GetIntInRange("seeds", 300, 1);
+  if (!seeds.ok()) return Fail(seeds.status());
+  Result<int64_t> years =
+      args.GetIntInRange("years", 2, 1, std::numeric_limits<int>::max());
+  if (!years.ok()) return Fail(years.status());
+  Result<int64_t> rng_seed = args.GetIntInRange("rng-seed", 42, 0);
+  if (!rng_seed.ok()) return Fail(rng_seed.status());
+  SynthOptions options;
+  options.seed_entities = static_cast<size_t>(*seeds);
+  options.years = static_cast<int>(*years);
+  options.rng_seed = static_cast<uint64_t>(*rng_seed);
   std::error_code ec;
   std::filesystem::create_directories(*out_dir, ec);
   if (ec) {
     return Fail(Status::Internal("cannot create directory " + *out_dir +
                                  ": " + ec.message()));
   }
-
-  SynthOptions options;
-  options.seed_entities =
-      static_cast<size_t>(args.GetInt("seeds", 300));
-  options.years = static_cast<int>(args.GetInt("years", 2));
-  options.rng_seed = static_cast<uint64_t>(args.GetInt("rng-seed", 42));
   std::string domains = args.Get("domains", "soccer");
   options.soccer = domains.find("soccer") != std::string::npos;
   options.cinema = domains.find("cinema") != std::string::npos;
@@ -743,6 +772,8 @@ int RunIngest(const Args& args) {
   if (!aligned.ok()) return Fail(aligned.status());
   Result<IngestArgs> ingest_args = ParseIngestArgs(args);
   if (!ingest_args.ok()) return Fail(ingest_args.status());
+  Result<int64_t> block_actions = args.GetIntInRange("block-actions", 4096, 1);
+  if (!block_actions.ok()) return Fail(block_actions.status());
 
   Result<std::string> dump_path = args.Require("dump");
   if (!dump_path.ok()) return Fail(dump_path.status());
@@ -759,8 +790,7 @@ int RunIngest(const Args& args) {
   }
 
   ActionLogWriterOptions writer_options;
-  writer_options.target_block_actions =
-      static_cast<size_t>(args.GetInt("block-actions", 4096));
+  writer_options.target_block_actions = static_cast<size_t>(*block_actions);
   ActionLogWriter writer(&out_file, writer_options);
   if (!writer.status().ok()) return Fail(writer.status());
 
