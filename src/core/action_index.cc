@@ -1,5 +1,7 @@
 #include "core/action_index.h"
 
+#include <numeric>
+
 namespace wiclean {
 
 namespace rel = ::wiclean::relational;
@@ -36,6 +38,20 @@ size_t ActionIndex::AddEntities(const std::vector<EntityId>& entities) {
     for (const Action& a : reduced) IngestAction(a);
   }
   return ingested;
+}
+
+size_t ActionIndex::AddEntitiesOfType(TypeId t) {
+  if (HasType(t)) return 0;
+  types_.insert(t);
+  return AddEntities(registry_->EntitiesOfType(t));
+}
+
+size_t ActionIndex::AddAllEntities() {
+  if (all_types_) return 0;
+  std::vector<EntityId> all(registry_->size());
+  std::iota(all.begin(), all.end(), EntityId{0});
+  all_types_ = true;
+  return AddEntities(all);
 }
 
 rel::Table FilterRealizationsByBindings(const rel::Table& uvt,

@@ -2,6 +2,7 @@
 #define WICLEAN_CORE_ACTION_INDEX_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -58,6 +59,13 @@ struct AbstractActionEntry {
 /// abstraction of each action up to `max_abstraction_lift` taxonomy levels
 /// above the endpoint entities' most-specific types. This incrementality is
 /// exactly what distinguishes PM from the PM−inc full-graph baseline.
+///
+/// The index also records which types it holds (AddEntitiesOfType). An
+/// entity's log holds the edits of its outgoing links, so once the source
+/// type of a key is held, the key's entry holds every realization of the
+/// window — the same rows, up to order, as an index that ingested nothing
+/// else. That is what lets a fixed-pattern probe read any index holding the
+/// pattern's variable types (PatternMiner::EvaluateRealizations).
 class ActionIndex {
  public:
   /// `registry` and `store` must outlive the index.
@@ -68,12 +76,25 @@ class ActionIndex {
   /// `entities`. Returns the number of entities actually ingested.
   size_t AddEntities(const std::vector<EntityId>& entities);
 
+  /// Ingests every entity of type `t`, subtypes included, unless the index
+  /// already holds `t`. Returns the number of entities actually ingested.
+  size_t AddEntitiesOfType(TypeId t);
+
+  /// Ingests every entity of the registry (PM−inc's full edits graph);
+  /// afterwards the index holds every type.
+  size_t AddAllEntities();
+
+  /// True once every entity of type `t` has been ingested through
+  /// AddEntitiesOfType(t) or AddAllEntities.
+  bool HasType(TypeId t) const { return all_types_ || types_.count(t) > 0; }
+
   /// True once `entity` has been ingested.
   bool HasEntity(EntityId entity) const {
     return ingested_.count(entity) > 0;
   }
 
   const TimeWindow& window() const { return window_; }
+  int max_abstraction_lift() const { return max_abstraction_lift_; }
 
   /// All abstract-action entries, keyed by AbstractActionKey::Encode().
   const std::map<std::string, AbstractActionEntry>& entries() const {
@@ -93,6 +114,8 @@ class ActionIndex {
   int max_abstraction_lift_;
 
   std::unordered_set<EntityId> ingested_;
+  std::set<TypeId> types_;  // types whose entities are all ingested
+  bool all_types_ = false;  // AddAllEntities ran
   size_t num_actions_ = 0;
   std::map<std::string, AbstractActionEntry> entries_;
 };

@@ -27,11 +27,12 @@ void MineWindowStats::Accumulate(const MineWindowStats& other) {
 
 void MineWindowStats::Subtract(const MineWindowStats& base) {
   candidates_considered -= base.candidates_considered;
+  entities_ingested -= base.entities_ingested;
   actions_ingested -= base.actions_ingested;
   ingest_seconds -= base.ingest_seconds;
   mine_seconds -= base.mine_seconds;
-  // entities_ingested / abstract_actions / frequent_patterns are level
-  // gauges, not counters; keep the current values.
+  // abstract_actions / frequent_patterns are level gauges, not counters;
+  // keep the current values.
 }
 
 std::string MineWindowStats::ToString() const {
@@ -114,16 +115,10 @@ class PatternMiner::Impl {
     Timer ingest_timer;
     if (options_.graph_strategy == GraphStrategy::kMaterializeFull) {
       // PM−inc: the whole edits graph up front, like conventional miners.
-      std::vector<EntityId> all(registry_->size());
-      for (size_t i = 0; i < all.size(); ++i) {
-        all[i] = static_cast<EntityId>(i);
-      }
-      ctx_->index.AddEntities(all);
-      full_graph_ = true;
+      ctx_->index.AddAllEntities();
     } else {
-      ctx_->index.AddEntities(registry_->EntitiesOfType(seed_type_));
+      ctx_->index.AddEntitiesOfType(seed_type_);
     }
-    ctx_->ingested_types.insert(seed_type_);
     ctx_->stats.ingest_seconds += ingest_timer.ElapsedSeconds();
 
     // mine_seconds and ingest_seconds are disjoint sub-intervals of the wall
@@ -517,15 +512,14 @@ class PatternMiner::Impl {
 
   /// Algorithm 1 lines 4-8: ingest revision histories of any new entity type
   /// appearing in an admitted pattern. Returns true if anything new arrived.
+  /// Once it returns false, the index holds every variable type of every
+  /// frequent pattern (PM−inc's full graph holds them all from the start).
   bool IngestPendingTypes() {
-    if (full_graph_) return false;
     bool grew = false;
     for (const std::string& key : frequent_keys_) {
       const Pattern& p = ctx_->evaluated.at(key).pattern;
       for (TypeId t : p.DistinctVarTypes()) {
-        if (!ctx_->ingested_types.insert(t).second) continue;
-        size_t added = ctx_->index.AddEntities(registry_->EntitiesOfType(t));
-        grew = grew || added > 0;
+        grew = ctx_->index.AddEntitiesOfType(t) > 0 || grew;
       }
     }
     return grew;
@@ -539,7 +533,6 @@ class PatternMiner::Impl {
   MiningContext* ctx_;
   TypeId seed_type_;
   size_t seed_count_;
-  bool full_graph_ = false;
 
   std::vector<std::string> frequent_keys_;
   std::vector<uint64_t> frequent_hashes_;  // Fnv1a64 of frequent_keys_[i]
@@ -606,21 +599,28 @@ Result<MineWindowResult> PatternMiner::MineWindow(
 
 Result<std::vector<PatternMiner::RealizationSpan>>
 PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
-                                   const TimeWindow& window) const {
+                                   const ActionIndex& index) const {
   if (pattern.num_actions() == 0) {
     return Status::InvalidArgument("cannot evaluate an empty pattern");
   }
   if (registry_->CountEntitiesOfType(seed_type) == 0) {
     return Status::InvalidArgument("seed type has no entities");
   }
+  const TypeTaxonomy& taxonomy = registry_->taxonomy();
+  if (index.max_abstraction_lift() != options_.max_abstraction_lift) {
+    return Status::FailedPrecondition(
+        "probe index abstracts at lift " +
+        std::to_string(index.max_abstraction_lift()) + ", the miner at " +
+        std::to_string(options_.max_abstraction_lift));
+  }
+  for (TypeId t : pattern.DistinctVarTypes()) {
+    if (!index.HasType(t)) {
+      return Status::FailedPrecondition("probe index does not hold type '" +
+                                        taxonomy.Name(t) + "'");
+    }
+  }
   WICLEAN_ASSIGN_OR_RETURN(std::vector<size_t> order,
                            PatternTraversalOrder(pattern));
-
-  ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
-  for (TypeId t : pattern.DistinctVarTypes()) {
-    index.AddEntities(registry_->EntitiesOfType(t));
-  }
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
 
   // Per-action realization tables, with §7 value bindings applied. The
   // filtered copies (only materialized for bound patterns) live here so the
@@ -698,15 +698,34 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   return spans;
 }
 
+Result<std::vector<PatternMiner::RealizationSpan>>
+PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
+                                   const TimeWindow& window) const {
+  return EvaluateRealizations(seed_type, pattern, ProbeIndex(pattern, window));
+}
+
 Result<double> PatternMiner::EvaluateFrequency(TypeId seed_type,
                                                const Pattern& pattern,
-                                               const TimeWindow& window) const {
+                                               const ActionIndex& index) const {
   WICLEAN_ASSIGN_OR_RETURN(std::vector<RealizationSpan> spans,
-                           EvaluateRealizations(seed_type, pattern, window));
+                           EvaluateRealizations(seed_type, pattern, index));
   std::unordered_set<int64_t> seeds;
   for (const RealizationSpan& s : spans) seeds.insert(s.seed);
   size_t seed_count = registry_->CountEntitiesOfType(seed_type);
   return static_cast<double>(seeds.size()) / static_cast<double>(seed_count);
+}
+
+Result<double> PatternMiner::EvaluateFrequency(TypeId seed_type,
+                                               const Pattern& pattern,
+                                               const TimeWindow& window) const {
+  return EvaluateFrequency(seed_type, pattern, ProbeIndex(pattern, window));
+}
+
+ActionIndex PatternMiner::ProbeIndex(const Pattern& pattern,
+                                     const TimeWindow& window) const {
+  ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
+  for (TypeId t : pattern.DistinctVarTypes()) index.AddEntitiesOfType(t);
+  return index;
 }
 
 Result<std::vector<PatternMiner::ValueSpecificPattern>>

@@ -2,7 +2,6 @@
 #define WICLEAN_CORE_MINER_H_
 
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <string>
@@ -108,7 +107,9 @@ struct MineWindowStats {
   double mine_seconds = 0;    // expansion + frequency evaluation time
 
   void Accumulate(const MineWindowStats& other);
-  /// Subtracts a baseline snapshot (for incremental reporting).
+  /// Subtracts a baseline snapshot (for incremental reporting): the
+  /// counters, entities_ingested and actions_ingested included, become the
+  /// work done since `base`.
   void Subtract(const MineWindowStats& base);
   std::string ToString() const;
 };
@@ -151,8 +152,6 @@ class MiningContext {
   /// Hashes of (pattern key, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
   std::unordered_set<uint64_t> tested;
-  /// Types whose entities(t) has been ingested.
-  std::set<TypeId> ingested_types;
   MineWindowStats stats;
 };
 
@@ -201,20 +200,36 @@ class PatternMiner {
     Timestamp tmax = 0;
   };
 
-  /// Computes all realizations of one *fixed* pattern in one window by
+  /// Computes all realizations of one *fixed* pattern in `index.window()` by
   /// chaining realization joins along the pattern's traversal order,
   /// returning one span per realization (rows are not deduplicated; count
   /// distinct seeds for support). The spans let the window search localize a
   /// pattern's true window with arithmetic instead of repeated re-mining.
+  ///
+  /// Reads `index` as is: any index that holds every variable type of the
+  /// pattern (ActionIndex::HasType) and abstracts at this miner's lift gives
+  /// the same spans up to order, so a probe can reuse a mining context's
+  /// index. Fails with FailedPrecondition otherwise.
+  [[nodiscard]] Result<std::vector<RealizationSpan>> EvaluateRealizations(
+      TypeId seed_type, const Pattern& pattern,
+      const ActionIndex& index) const;
+
+  /// The same over a fresh index of `window` holding the pattern's types.
   [[nodiscard]] Result<std::vector<RealizationSpan>> EvaluateRealizations(
       TypeId seed_type, const Pattern& pattern,
       const TimeWindow& window) const;
 
-  /// Frequency (Definition 3.2) of one fixed pattern in one window; a
-  /// convenience over EvaluateRealizations. Cheaper than a full MineWindow
-  /// when only one pattern matters.
-  [[nodiscard]] Result<double> EvaluateFrequency(TypeId seed_type, const Pattern& pattern,
-                                   const TimeWindow& window) const;
+  /// Frequency (Definition 3.2) of one fixed pattern in `index.window()`;
+  /// the distinct seeds of EvaluateRealizations, with its preconditions.
+  /// Cheaper than a full MineWindow when only one pattern matters.
+  [[nodiscard]] Result<double> EvaluateFrequency(
+      TypeId seed_type, const Pattern& pattern,
+      const ActionIndex& index) const;
+
+  /// The same over a fresh index of `window` holding the pattern's types.
+  [[nodiscard]] Result<double> EvaluateFrequency(
+      TypeId seed_type, const Pattern& pattern,
+      const TimeWindow& window) const;
 
   /// One §7 value-specific specialization of a frequent pattern: `var` is
   /// bound to the concrete entity `value` (e.g. the club variable bound to
@@ -247,6 +262,10 @@ class PatternMiner {
 
  private:
   class Impl;
+
+  /// A fresh index of `window` holding the pattern's variable types.
+  ActionIndex ProbeIndex(const Pattern& pattern,
+                         const TimeWindow& window) const;
 
   const EntityRegistry* registry_;
   const RevisionStore* store_;

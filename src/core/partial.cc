@@ -200,9 +200,7 @@ Result<PartialUpdateReport> PartialUpdateDetector::Detect(
   // Lines 1-2: ingest (reduced, abstracted) revision histories of the entity
   // types appearing in the pattern.
   ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
-  for (TypeId t : pattern.DistinctVarTypes()) {
-    index.AddEntities(registry_->EntitiesOfType(t));
-  }
+  for (TypeId t : pattern.DistinctVarTypes()) index.AddEntitiesOfType(t);
 
   auto realizations = [&](size_t i) -> const rel::Table* {
     const AbstractAction& a = pattern.actions()[i];

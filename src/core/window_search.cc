@@ -2,10 +2,11 @@
 #include <algorithm>
 
 #include <cmath>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "common/timer.h"
 
 namespace wiclean {
@@ -51,15 +52,25 @@ constexpr size_t kRefinePatience = 4;
 /// Safety valve against degenerate refine policies.
 constexpr size_t kMaxRounds = 20;
 
-/// Memoizing wrapper around PatternMiner::EvaluateFrequency. Validation
-/// (window tightening + leverage partitions) probes many overlapping
-/// (sub-pattern, window) pairs — e.g. every league-extended transfer variant
-/// shares most of its sub-patterns — so the cache cuts the validation cost
-/// by an order of magnitude.
+/// Memoizing wrapper around PatternMiner::EvaluateFrequency for the leverage
+/// probes. Validation probes many overlapping (sub-pattern, window) pairs —
+/// e.g. every league-extended transfer variant shares most of its
+/// sub-patterns — so the memo cuts the validation cost by an order of
+/// magnitude.
+///
+/// Misses read one probe index, kept for the window probed last: rebuilt
+/// when the window changes, grown by the types a probe needs. The leverage
+/// probes of one pattern all share its window, so each pattern builds at
+/// most one index. Only one probe index is ever live; keeping one per window
+/// would hold every tightened window's actions until the search ends.
 class FreqEvaluator {
  public:
-  FreqEvaluator(const PatternMiner* miner, TypeId seed_type)
-      : miner_(miner), seed_type_(seed_type) {}
+  FreqEvaluator(const EntityRegistry* registry, const RevisionStore* store,
+                const PatternMiner* miner, TypeId seed_type)
+      : registry_(registry),
+        store_(store),
+        miner_(miner),
+        seed_type_(seed_type) {}
 
   Result<double> operator()(const Pattern& pattern, const TimeWindow& window) {
     std::string key = pattern.CanonicalKey();
@@ -69,32 +80,44 @@ class FreqEvaluator {
     key += std::to_string(window.end);
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
-    WICLEAN_ASSIGN_OR_RETURN(double f,
-                             miner_->EvaluateFrequency(seed_type_, pattern,
-                                                       window));
+    if (!index_.has_value() || !(index_->window() == window)) {
+      // emplace destroys the previous index before building this one.
+      index_.emplace(registry_, store_, window,
+                     miner_->options().max_abstraction_lift);
+    }
+    for (TypeId t : pattern.DistinctVarTypes()) index_->AddEntitiesOfType(t);
+    WICLEAN_ASSIGN_OR_RETURN(
+        double f, miner_->EvaluateFrequency(seed_type_, pattern, *index_));
     memo_.emplace(std::move(key), f);
     return f;
   }
 
  private:
+  const EntityRegistry* registry_;
+  const RevisionStore* store_;
   const PatternMiner* miner_;
   TypeId seed_type_;
   std::map<std::string, double> memo_;
+  std::optional<ActionIndex> index_;
 };
 
 /// Re-localizes a discovered pattern to its tightest window (see
 /// WindowSearchOptions::subwindow_validation) and re-checks the threshold.
 /// Computes the pattern's realization time spans once, then localizes with
 /// pure arithmetic: a realization supports a candidate window iff its whole
-/// span fits inside. On success, updates mp->window and mp->frequency in
-/// place and returns true; returns false when the pattern is a window
-/// artifact.
-Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
-                           size_t seed_count, Timestamp min_width,
-                           double threshold, MinedPattern* mp) {
+/// span fits inside. The spans come from `index`, the index of the mining
+/// context that found the pattern in mp->window: it holds every variable
+/// type of every frequent pattern of that window. On success, updates
+/// mp->window and mp->frequency in place and returns true; returns false
+/// when the pattern is a window artifact.
+Result<bool> TightenWindow(const PatternMiner& miner, const ActionIndex& index,
+                           TypeId seed_type, size_t seed_count,
+                           Timestamp min_width, double threshold,
+                           MinedPattern* mp) {
+  WICLEAN_CHECK(index.window() == mp->window);
   WICLEAN_ASSIGN_OR_RETURN(
       std::vector<PatternMiner::RealizationSpan> spans,
-      miner.EvaluateRealizations(seed_type, mp->pattern, mp->window));
+      miner.EvaluateRealizations(seed_type, mp->pattern, index));
   auto freq_in = [&](const TimeWindow& w) {
     std::unordered_set<int64_t> seeds;
     for (const PatternMiner::RealizationSpan& s : spans) {
@@ -145,7 +168,8 @@ Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
 /// coefficient falls below kMinPartitionPhi.
 Result<bool> PassesLeverage(FreqEvaluator& freq_of, const MinedPattern& mp) {
   const size_t n = mp.pattern.num_actions();
-  if (n < 2 || n > 16) return true;
+  if (n < 2) return true;
+  WICLEAN_CHECK(n <= kMaxLeverageActions);
   for (uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
     // Bit n-1 always lands in side B, so each partition is visited once.
     std::vector<size_t> side_a, side_b;
@@ -208,6 +232,14 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
         std::to_string(options_.initial_threshold) +
         " is outside the paper's range [0.2, 1]");
   }
+  if (options_.leverage_validation &&
+      options_.miner.max_pattern_actions > kMaxLeverageActions) {
+    return Status::InvalidArgument(
+        "max_pattern_actions " +
+        std::to_string(options_.miner.max_pattern_actions) +
+        " exceeds the " + std::to_string(kMaxLeverageActions) +
+        " actions leverage validation can partition");
+  }
 
   WindowSearchResult result;
   std::set<std::string> seen_keys;      // reported patterns
@@ -225,7 +257,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   // Validation probes (tightening spans, leverage sub-pattern frequencies)
   // are threshold-independent, so one memoizing evaluator serves all rounds.
   PatternMiner probe_miner(registry_, store_, options_.miner);
-  FreqEvaluator freq_of(&probe_miner, seed_type);
+  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type);
   const size_t seed_count = registry_->CountEntitiesOfType(seed_type);
 
   // Context cache: re-examining the same window at a lower threshold reuses
@@ -331,8 +363,9 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
             mp.window.width() > options_.min_window_width) {
           WICLEAN_ASSIGN_OR_RETURN(
               genuine,
-              TightenWindow(probe_miner, seed_type, seed_count,
-                            options_.min_window_width, threshold, &mp));
+              TightenWindow(probe_miner, wr.context->index, seed_type,
+                            seed_count, options_.min_window_width, threshold,
+                            &mp));
         }
         if (genuine && options_.leverage_validation &&
             mp.pattern.num_actions() > 1) {

@@ -10,6 +10,12 @@
 
 namespace wiclean {
 
+/// The most actions a pattern may have while leverage validation is on: the
+/// test visits all 2^(n-1) - 1 two-way partitions of a pattern's n actions,
+/// two probes each. WindowSearch::Run rejects a larger
+/// MinerOptions::max_pattern_actions instead of skipping the test.
+inline constexpr size_t kMaxLeverageActions = 16;
+
 /// The parameter-refinement policy of Algorithm 2 (§4.3 and Table 1): between
 /// rounds, alternately multiply the window width by `window_multiplier` and
 /// reduce the frequency threshold by `threshold_reduction` (a fraction). The
@@ -52,7 +58,8 @@ struct WindowSearchOptions {
   /// into two source-connected sub-patterns must be positively correlated
   /// (see kMinPartitionPhi in window_search.cc). Rejects conjunctions of
   /// *independent* events (a player who happened to both win an award and
-  /// be loaned out in the same window).
+  /// be loaned out in the same window). Requires max_pattern_actions <=
+  /// kMaxLeverageActions.
   bool leverage_validation = true;
 };
 

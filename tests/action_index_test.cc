@@ -91,6 +91,31 @@ TEST_F(ActionIndexTest, IngestionIsIdempotentPerEntity) {
   EXPECT_EQ(entry.realizations.num_rows(), 1u);  // no duplicate rows
 }
 
+TEST_F(ActionIndexTest, TracksHeldTypes) {
+  Add(p0_, "current_club", c0_, 10);
+  ActionIndex index(registry_.get(), &store_, TimeWindow{0, 100}, 0);
+  EXPECT_FALSE(index.HasType(player_));
+  // Subtypes come along: athlete's entities are the two players.
+  EXPECT_EQ(index.AddEntitiesOfType(athlete_), 2u);
+  EXPECT_TRUE(index.HasType(athlete_));
+  EXPECT_TRUE(index.HasEntity(p0_) && index.HasEntity(p1_));
+  // A held type is not read again; a new type only adds what is missing.
+  EXPECT_EQ(index.AddEntitiesOfType(athlete_), 0u);
+  EXPECT_FALSE(index.HasType(player_));
+  EXPECT_EQ(index.AddEntitiesOfType(player_), 0u);
+  EXPECT_TRUE(index.HasType(player_));
+  EXPECT_FALSE(index.HasType(club_));
+
+  // The full graph holds every type.
+  ActionIndex full(registry_.get(), &store_, TimeWindow{0, 100}, 0);
+  EXPECT_EQ(full.AddAllEntities(), registry_->size());
+  EXPECT_EQ(full.AddAllEntities(), 0u);
+  for (TypeId t : {thing_, person_, athlete_, player_, club_}) {
+    EXPECT_TRUE(full.HasType(t)) << t;
+  }
+  EXPECT_EQ(full.AddEntitiesOfType(club_), 0u);
+}
+
 TEST_F(ActionIndexTest, WindowFiltersAndReduces) {
   Add(p0_, "current_club", c0_, 10);
   Add(p0_, "current_club", c0_, 20, EditOp::kRemove);  // cancels within window

@@ -114,8 +114,9 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument.*--mine-threads")
 endif()
 # Mining flags are validated before any mining runs: thresholds outside the
 # paper's [0.2, 1] (below it, relative mining used to crash on an evicted
-# realization table), negative abstraction lifts, and non-numeric or
-# non-positive action caps.
+# realization table), negative abstraction lifts, and non-numeric,
+# non-positive or too large action caps (leverage validation partitions at
+# most 16 actions).
 foreach(bad
     "--threshold;0.15;\\[0\\.2, 1\\]"
     "--threshold;0.12;\\[0\\.2, 1\\]"
@@ -124,7 +125,8 @@ foreach(bad
     "--abstraction-lift;-1;--abstraction-lift"
     "--abstraction-lift;abc;--abstraction-lift"
     "--max-actions;abc;--max-actions"
-    "--max-actions;-1;--max-actions")
+    "--max-actions;-1;--max-actions"
+    "--max-actions;17;--max-actions must be an integer in \\[1, 16\\]")
   list(GET bad 0 flag)
   list(GET bad 1 value)
   list(GET bad 2 expect)

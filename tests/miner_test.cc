@@ -353,6 +353,44 @@ TEST_F(MinerTest, ContextReuseAcrossThresholds) {
       low.MineWindow(player_, TimeWindow{0, 50}, second->context).ok());
 }
 
+TEST_F(MinerTest, ReusedContextCountsOnlyNewlyIngestedEntities) {
+  // entities_ingested is per call, like actions_ingested: resuming a context
+  // counts only the revision logs that call read. With the context's running
+  // total, a window search that resumes a context at a lower threshold would
+  // count the context's entities once per round. Lift 0 keeps the leagues
+  // out until their own pattern is frequent.
+  MinerOptions high_options = Options(0.9);
+  high_options.max_abstraction_lift = 0;
+  MinerOptions low_options = Options(0.6);
+  low_options.max_abstraction_lift = 0;
+  PatternMiner high(registry_.get(), &store_, high_options);
+  Result<MineWindowResult> first = high.MineWindow(player_, window_);
+  ASSERT_TRUE(first.ok());
+  const ActionIndex& index = first->context->index;
+  const size_t first_entities = index.num_entities_ingested();
+  const size_t first_actions = index.num_actions_ingested();
+  EXPECT_EQ(first->stats.entities_ingested, first_entities);
+  EXPECT_EQ(first->stats.actions_ingested, first_actions);
+
+  // At 0.6 the league update (3 of 5 players) becomes frequent, so the
+  // resumed call reads the two leagues' logs and nothing else.
+  PatternMiner low(registry_.get(), &store_, low_options);
+  Result<MineWindowResult> second =
+      low.MineWindow(player_, window_, first->context);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(index.num_entities_ingested(), first_entities + leagues_.size());
+  EXPECT_EQ(second->stats.entities_ingested, leagues_.size());
+  EXPECT_EQ(second->stats.actions_ingested,
+            index.num_actions_ingested() - first_actions);
+
+  // Nothing new to read: both counters are zero.
+  Result<MineWindowResult> third =
+      low.MineWindow(player_, window_, second->context);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->stats.entities_ingested, 0u);
+  EXPECT_EQ(third->stats.actions_ingested, 0u);
+}
+
 TEST_F(MinerTest, ValueSpecificPatternsFindDominantClub) {
   // C0 hosts half of the joins (P0, P1): at min_value_share 0.5 the club
   // variable specializes to C0; at 0.6 nothing qualifies.

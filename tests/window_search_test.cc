@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 
+#include "common/hash.h"
 #include "core/window_search.h"
 #include "synth/synthesizer.h"
 
@@ -221,6 +223,87 @@ TEST_F(WindowSearchTest, InitialThresholdOutsidePaperRangeRejected) {
         << result.status().ToString();
   }
 }
+
+// Leverage validation partitions at most kMaxLeverageActions actions. A
+// larger action cap would leave every longer pattern unvalidated, so the
+// search refuses it while the test is on.
+TEST_F(WindowSearchTest, ActionCapAboveLeverageLimitRejected) {
+  WindowSearchOptions o = Options();
+  o.miner.max_pattern_actions = kMaxLeverageActions + 1;
+  WindowSearch search(world_->registry.get(), &world_->store, o);
+  Result<WindowSearchResult> result =
+      search.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("leverage"), std::string::npos)
+      << result.status().ToString();
+
+  // Without leverage validation the cap is not limited.
+  o.leverage_validation = false;
+  WindowSearch unchecked(world_->registry.get(), &world_->store, o);
+  EXPECT_TRUE(
+      unchecked.Run(world_->types.soccer_player, 0, 4 * kSecondsPerWeek).ok());
+}
+
+// Golden digest of a whole WindowSearch over one small soccer world, mined
+// with the options pipebench's mine_soccer uses (lift 1, six actions,
+// relatives on). The digest covers every discovered pattern's canonical key,
+// window, frequency and support, and its relatives' keys, frequencies and
+// supports, in discovery order. A change to mining or validation that alters
+// any of these fails here, at any miner thread count.
+class WindowSearchGoldenTest : public ::testing::TestWithParam<size_t> {};
+
+// Recorded while every validation probe still built its own action index;
+// probes that read a shared index must reproduce it exactly.
+constexpr size_t kGoldenPatterns = 17;
+constexpr char kGoldenDigest[] = "f24319bb136cc81c";
+
+std::string SearchDigest(const WindowSearchResult& result) {
+  auto num = [](double x) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+    return std::string(buf);
+  };
+  std::string text;
+  for (const DiscoveredPattern& dp : result.patterns) {
+    text += dp.mined.pattern.CanonicalKey() + "@" +
+            std::to_string(dp.mined.window.begin) + "-" +
+            std::to_string(dp.mined.window.end) +
+            " f=" + num(dp.mined.frequency) +
+            " s=" + std::to_string(dp.mined.support) + "\n";
+    for (const RelativePattern& rp : dp.relatives) {
+      text += " rel:" + rp.pattern.CanonicalKey() + " f=" +
+              num(rp.frequency) + " s=" + std::to_string(rp.support) + "\n";
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(text)));
+  return hex;
+}
+
+TEST_P(WindowSearchGoldenTest, SoccerWorldDigest) {
+  SynthOptions so;
+  so.seed_entities = 150;
+  so.years = 3;
+  so.rng_seed = 1000;
+  Result<SynthWorld> world = Synthesize(so);
+  ASSERT_TRUE(world.ok());
+  WindowSearchOptions o;
+  o.miner.max_abstraction_lift = 1;
+  o.miner.max_pattern_actions = 6;
+  o.miner.num_threads = GetParam();
+  o.mine_relative = true;
+  WindowSearch search(world->registry.get(), &world->store, o);
+  Result<WindowSearchResult> result =
+      search.Run(world->types.soccer_player, 0, 3 * kSecondsPerYear);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->patterns.size(), kGoldenPatterns);
+  EXPECT_EQ(SearchDigest(*result), kGoldenDigest);
+}
+
+INSTANTIATE_TEST_SUITE_P(MinerThreads, WindowSearchGoldenTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace wiclean

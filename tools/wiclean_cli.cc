@@ -346,8 +346,12 @@ Result<SearchRun> RunSearch(const LoadedCorpus& corpus, const Args& args) {
       int64_t lift, args.GetIntInRange("abstraction-lift", 1, 0,
                                        std::numeric_limits<int>::max()));
   options.miner.max_abstraction_lift = static_cast<int>(lift);
-  WICLEAN_ASSIGN_OR_RETURN(int64_t max_actions,
-                           args.GetIntInRange("max-actions", 6, 1));
+  // Leverage validation always runs here, and it partitions at most
+  // kMaxLeverageActions actions.
+  WICLEAN_ASSIGN_OR_RETURN(
+      int64_t max_actions,
+      args.GetIntInRange("max-actions", 6, 1,
+                         static_cast<int64_t>(kMaxLeverageActions)));
   options.miner.max_pattern_actions = static_cast<size_t>(max_actions);
   // Mining-internal parallelism (candidate evaluation); output is invariant
   // under this knob. Distinct from --threads, which parallelizes ingest.
