@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
     }
     Timer wall;
     for (const auto& [action, sequence] : feed) {
-      if (!session.FeedWithSequence(action, sequence)) break;
+      if (session.TryFeed(action, sequence) != FeedStatus::kOk) break;
     }
     Result<SessionReport> report = session.Drain();
     if (!report.ok()) {

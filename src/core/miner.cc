@@ -29,10 +29,10 @@ void MineWindowStats::Subtract(const MineWindowStats& base) {
   candidates_considered -= base.candidates_considered;
   entities_ingested -= base.entities_ingested;
   actions_ingested -= base.actions_ingested;
+  abstract_actions -= base.abstract_actions;
+  frequent_patterns -= base.frequent_patterns;
   ingest_seconds -= base.ingest_seconds;
   mine_seconds -= base.mine_seconds;
-  // abstract_actions / frequent_patterns are level gauges, not counters;
-  // keep the current values.
 }
 
 std::string MineWindowStats::ToString() const {

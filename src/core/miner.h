@@ -107,9 +107,9 @@ struct MineWindowStats {
   double mine_seconds = 0;    // expansion + frequency evaluation time
 
   void Accumulate(const MineWindowStats& other);
-  /// Subtracts a baseline snapshot (for incremental reporting): the
-  /// counters, entities_ingested and actions_ingested included, become the
-  /// work done since `base`.
+  /// Subtracts a baseline snapshot (for incremental reporting): every
+  /// field becomes the work done since `base` — abstract_actions and
+  /// frequent_patterns the entries and patterns that are new since then.
   void Subtract(const MineWindowStats& base);
   std::string ToString() const;
 };
@@ -179,11 +179,13 @@ class PatternMiner {
   /// Mines the most specific frequent patterns of `window` w.r.t. `seed_type`.
   ///
   /// Passing `reuse` (a context produced by a previous MineWindow call on the
-  /// *same window*, typically at a higher threshold) resumes from its cached
-  /// realization tables and frequencies instead of starting over — the
-  /// paper's "caching of the computed frequencies/realization tables, to be
-  /// reused if the same patterns are later re-examined with different
-  /// thresholds". Stats in the result cover only the incremental work.
+  /// *same window* at the same or a higher threshold) resumes from its
+  /// cached realization tables and frequencies instead of starting over —
+  /// the paper's "caching of the computed frequencies/realization tables, to
+  /// be reused if the same patterns are later re-examined with different
+  /// thresholds". Stats in the result cover only the incremental work: a
+  /// resumed call's frequent_patterns counts the patterns that became
+  /// frequent in it.
   ///
   /// Fails with InvalidArgument when options().frequency_threshold is below
   /// the realization cache floor (0.1): the realization tables of patterns

@@ -1,189 +1,10 @@
 #include "log/action_log_codec.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/annotations.h"
-#include "common/hash.h"
+#include "common/wire.h"
 
 namespace wiclean {
-namespace {
-
-// ---------------------------------------------------------------------------
-// Primitive little-endian encoding, following serve/pattern_store.cc: fixed
-// width values are composed byte by byte so the format is host-endianness
-// independent. This file is the one other module (besides the snapshot
-// store) allowed raw byte blits — the lint raw-memcpy rule names it — and
-// uses that license exactly once, for the ops bitset.
-// ---------------------------------------------------------------------------
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  AppendU64(out, static_cast<uint64_t>(v));
-}
-
-/// LEB128: 7 value bits per byte, high bit = continuation.
-void AppendVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-/// Maps signed to unsigned keeping small magnitudes small, so deltas of
-/// either sign stay one varint byte.
-uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-/// Bounds-checked sequential reader over an immutable byte span; every Read*
-/// fails with DataLoss instead of touching bytes that are not there.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  [[nodiscard]] Status ReadU32(uint32_t* v) WC_UNTRUSTED {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadU64(uint64_t* v) WC_UNTRUSTED {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadI64(int64_t* v) WC_UNTRUSTED {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(ReadU64(&raw));
-    *v = static_cast<int64_t>(raw);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadVarint(uint64_t* v) WC_UNTRUSTED {
-    uint64_t out = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (AtEnd()) return Truncated("varint");
-      uint8_t byte = static_cast<uint8_t>(bytes_[pos_++]);
-      out |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        // Reject non-canonical padding like 0x80 0x00 — the writer never
-        // emits it, so accepting it would let distinct bytes decode equal.
-        if (byte == 0 && shift != 0) {
-          return Status::DataLoss("action log: non-canonical varint");
-        }
-        *v = out;
-        return Status::OK();
-      }
-    }
-    return Status::DataLoss("action log: varint longer than 10 bytes");
-  }
-
-  [[nodiscard]] Status ReadSpan(size_t size, std::string_view* v)
-      WC_UNTRUSTED WC_BORROWED_VIEW {
-    if (size > remaining()) return Truncated("byte span");
-    *v = bytes_.substr(pos_, size);
-    pos_ += size;
-    return Status::OK();
-  }
-
-  /// Varint-length-prefixed string; the length is untrusted and checked
-  /// against the bytes present before any allocation.
-  [[nodiscard]] Status ReadLenString(std::string* v) WC_UNTRUSTED {
-    uint64_t size = 0;
-    WICLEAN_RETURN_IF_ERROR(ReadVarint(&size));
-    if (size > remaining()) return Truncated("string payload");
-    v->assign(bytes_.data() + pos_, static_cast<size_t>(size));
-    pos_ += static_cast<size_t>(size);
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::DataLoss(std::string("action log truncated reading ") +
-                            what);
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-void AppendLenString(std::string* out, std::string_view s) {
-  AppendVarint(out, s.size());
-  out->append(s.data(), s.size());
-}
-
-}  // namespace
-
-void AppendActionLogSection(std::string* out, uint32_t tag,
-                            std::string_view payload) {
-  AppendU32(out, tag);
-  AppendU64(out, payload.size());
-  AppendU32(out, Crc32(payload));
-  out->append(payload.data(), payload.size());
-}
-
-Status ReadActionLogSection(std::string_view bytes, uint64_t offset,
-                            uint32_t expected_tag, std::string_view* payload,
-                            uint64_t* end) {
-  if (offset > bytes.size() ||
-      bytes.size() - offset < kSectionHeaderSize) {
-    return Status::DataLoss("action log truncated reading section header");
-  }
-  ByteReader r(bytes.substr(static_cast<size_t>(offset)));
-  uint32_t tag = 0;
-  uint64_t size = 0;
-  uint32_t crc = 0;
-  WICLEAN_RETURN_IF_ERROR(r.ReadU32(&tag));
-  if (tag != expected_tag) {
-    return Status::DataLoss("action log: unexpected section tag " +
-                            std::to_string(tag));
-  }
-  WICLEAN_RETURN_IF_ERROR(r.ReadU64(&size));
-  if (size > r.remaining()) {
-    return Status::DataLoss("action log: section overruns the file");
-  }
-  WICLEAN_RETURN_IF_ERROR(r.ReadU32(&crc));
-  WICLEAN_RETURN_IF_ERROR(r.ReadSpan(static_cast<size_t>(size), payload));
-  if (Crc32(*payload) != crc) {
-    return Status::DataLoss("action log: section CRC mismatch");
-  }
-  if (end != nullptr) *end = offset + kSectionHeaderSize + size;
-  return Status::OK();
-}
 
 BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
                              std::vector<std::string>* dictionary,
@@ -216,7 +37,7 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
   AppendU32(out, dict_base);
   AppendU32(out, static_cast<uint32_t>(dictionary->size()) - dict_base);
   for (size_t i = dict_base; i < dictionary->size(); ++i) {
-    AppendLenString(out, (*dictionary)[i]);
+    AppendVarintString(out, (*dictionary)[i]);
   }
 
   std::vector<uint8_t> ops((actions.size() + 7) / 8, 0);
@@ -243,7 +64,7 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
 Status DecodeBlockPayload(std::string_view payload,
                           const std::vector<std::string>& relations,
                           const BlockMeta* meta, std::vector<Action>* out) {
-  ByteReader r(payload);
+  ByteReader r(payload, "action log");
   EntityId min_subject = 0;
   EntityId max_subject = 0;
   uint32_t count = 0;
@@ -280,7 +101,7 @@ Status DecodeBlockPayload(std::string_view payload,
   }
   std::string delta;
   for (uint32_t i = 0; i < delta_count; ++i) {
-    WICLEAN_RETURN_IF_ERROR(r.ReadLenString(&delta));
+    WICLEAN_RETURN_IF_ERROR(r.ReadVarintString(&delta));
     if (delta != relations[dict_base + i]) {
       return Status::DataLoss(
           "action log block: dictionary delta disagrees with the index");
@@ -291,10 +112,7 @@ Status DecodeBlockPayload(std::string_view payload,
   std::string_view ops_span;
   const size_t ops_bytes = (static_cast<size_t>(count) + 7) / 8;
   WICLEAN_RETURN_IF_ERROR(r.ReadSpan(ops_bytes, &ops_span));
-  std::vector<uint8_t> ops(ops_bytes);
-  // Byte blit of the CRC-verified bitset; this file holds the lint
-  // raw-memcpy exemption for exactly this kind of bulk column copy.
-  std::memcpy(ops.data(), ops_span.data(), ops_bytes);
+  const std::vector<uint8_t> ops(ops_span.begin(), ops_span.end());
 
   std::vector<EntityId> subjects(count);
   EntityId prev_subject = min_subject;
@@ -359,11 +177,11 @@ void EncodeIndexPayload(const ActionLogIndex& index, std::string* out) {
   }
   AppendU64(out, index.total_actions);
   AppendU64(out, index.relations.size());
-  for (const std::string& rel : index.relations) AppendLenString(out, rel);
+  for (const std::string& rel : index.relations) AppendVarintString(out, rel);
 }
 
 Status DecodeIndexPayload(std::string_view payload, ActionLogIndex* index) {
-  ByteReader r(payload);
+  ByteReader r(payload, "action log");
   uint64_t block_count = 0;
   WICLEAN_RETURN_IF_ERROR(r.ReadU64(&block_count));
   // Untrusted count: each entry is 32 fixed bytes.
@@ -406,7 +224,7 @@ Status DecodeIndexPayload(std::string_view payload, ActionLogIndex* index) {
   index->relations.reserve(static_cast<size_t>(relation_count));
   for (uint64_t i = 0; i < relation_count; ++i) {
     std::string rel;
-    WICLEAN_RETURN_IF_ERROR(r.ReadLenString(&rel));
+    WICLEAN_RETURN_IF_ERROR(r.ReadVarintString(&rel));
     index->relations.push_back(std::move(rel));
   }
   if (!r.AtEnd()) {

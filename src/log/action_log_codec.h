@@ -13,27 +13,11 @@
 
 namespace wiclean {
 
-/// WCAL wire codec: block/index payload encode + decode and the shared
-/// tag/size/CRC section framing. Encoding is infallible; every decode path
-/// is a bounds-checked [[nodiscard]] Status walk over untrusted bytes —
-/// lengths and counts are validated against the bytes actually present
-/// before anything proportional to them is allocated.
-
-/// Appends one framed section (tag + u64 payload size + u32 crc32(payload)
-/// + payload) to *out.
-void AppendActionLogSection(std::string* out, uint32_t tag,
-                            std::string_view payload);
-
-/// Peels the framed section starting at byte `offset` of `bytes`: verifies
-/// the tag is `expected_tag`, the declared size fits, and the payload CRC
-/// matches. On success *payload views the payload (zero-copy into `bytes`)
-/// and *end is the offset one past the section.
-[[nodiscard]] Status ReadActionLogSection(std::string_view bytes,
-                                          uint64_t offset,
-                                          uint32_t expected_tag,
-                                          std::string_view* payload,
-                                          uint64_t* end)
-    WC_UNTRUSTED WC_BORROWED_VIEW;
+/// WCAL block and index payloads, over the shared wire primitives
+/// (common/wire.h). Encoding is infallible; every decode path is a
+/// bounds-checked [[nodiscard]] Status walk over untrusted bytes — lengths
+/// and counts are validated against the bytes actually present before
+/// anything proportional to them is allocated.
 
 /// Encodes one block payload for `actions` (must be non-empty), interning
 /// relations not yet in `ids` by appending them to *dictionary and

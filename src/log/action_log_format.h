@@ -14,8 +14,8 @@ namespace wiclean {
 /// ingest`), and every later mine/detect/pack run replays the recovered
 /// actions straight into a RevisionStore, skipping wikitext entirely.
 ///
-/// Layout (all integers little-endian, composed byte by byte — the WCPS
-/// container conventions from serve/pattern_store.cc):
+/// Layout (integers, varints, strings and section framing as in
+/// common/wire.h, the codec WCPS snapshots share):
 ///
 ///   header  := "WCAL" magic (4B) + u32 version
 ///   block*  := u32 tag "BLOK" + u64 payload_size + u32 crc32(payload)
@@ -60,9 +60,6 @@ inline constexpr uint32_t kTagIndex = 0x58444e49;  // "INDX"
 /// header = magic + version; trailer = index offset + reversed magic.
 inline constexpr size_t kActionLogHeaderSize = 4 + 4;
 inline constexpr size_t kActionLogTrailerSize = 8 + 4;
-
-/// Per-section framing overhead: tag + payload size + payload CRC.
-inline constexpr size_t kSectionHeaderSize = 4 + 8 + 4;
 
 /// One block's entry in the index: where it sits and what it spans. The
 /// subject span is the seek key — a selective replay skips any block whose

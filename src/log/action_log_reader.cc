@@ -10,9 +10,24 @@
 #include <cstring>
 #include <utility>
 
+#include "common/wire.h"
 #include "log/action_log_codec.h"
 
 namespace wiclean {
+
+namespace {
+
+/// Reads the framed section with `tag` that starts at byte `offset`.
+Status ReadSectionAt(std::string_view bytes, uint64_t offset, uint32_t tag,
+                     std::string_view* payload) WC_UNTRUSTED WC_BORROWED_VIEW {
+  if (offset > bytes.size()) {
+    return Status::DataLoss("action log: section offset outside the file");
+  }
+  ByteReader r(bytes.substr(static_cast<size_t>(offset)), "action log");
+  return r.ReadSection(tag, payload);
+}
+
+}  // namespace
 
 MmapFile::~MmapFile() {
   if (data_ != nullptr) munmap(data_, size_);
@@ -83,43 +98,40 @@ Status ActionLogReader::Validate() {
   if (bytes_.size() < kActionLogHeaderSize + kActionLogTrailerSize) {
     return Status::DataLoss("action log: file shorter than header + trailer");
   }
-  if (bytes_.substr(0, 4) !=
-      std::string_view(kActionLogMagic, sizeof(kActionLogMagic))) {
+  ByteReader header(bytes_, "action log");
+  std::string_view magic;
+  uint32_t version = 0;
+  WICLEAN_RETURN_IF_ERROR(header.ReadSpan(sizeof(kActionLogMagic), &magic));
+  if (magic != std::string_view(kActionLogMagic, sizeof(kActionLogMagic))) {
     return Status::DataLoss("action log: bad magic (not a WCAL file)");
   }
-  uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[4 + i]))
-               << (8 * i);
-  }
+  WICLEAN_RETURN_IF_ERROR(header.ReadU32(&version));
   if (version != kActionLogVersion) {
     return Status::DataLoss("action log: unsupported version " +
                             std::to_string(version));
   }
 
   const size_t trailer_at = bytes_.size() - kActionLogTrailerSize;
-  if (bytes_.substr(trailer_at + 8, 4) !=
-      std::string_view(kActionLogTrailerMagic,
-                       sizeof(kActionLogTrailerMagic))) {
+  ByteReader trailer(bytes_.substr(trailer_at), "action log");
+  uint64_t index_offset = 0;
+  std::string_view trailer_magic;
+  WICLEAN_RETURN_IF_ERROR(trailer.ReadU64(&index_offset));
+  WICLEAN_RETURN_IF_ERROR(
+      trailer.ReadSpan(sizeof(kActionLogTrailerMagic), &trailer_magic));
+  if (trailer_magic != std::string_view(kActionLogTrailerMagic,
+                                        sizeof(kActionLogTrailerMagic))) {
     return Status::DataLoss(
         "action log: bad trailer magic (truncated or unfinished file)");
-  }
-  uint64_t index_offset = 0;
-  for (int i = 0; i < 8; ++i) {
-    index_offset |=
-        static_cast<uint64_t>(static_cast<uint8_t>(bytes_[trailer_at + i]))
-        << (8 * i);
   }
   if (index_offset < kActionLogHeaderSize || index_offset >= trailer_at) {
     return Status::DataLoss("action log: index offset outside the file");
   }
 
   std::string_view index_payload;
-  uint64_t index_end = 0;
-  WICLEAN_RETURN_IF_ERROR(ReadActionLogSection(
-      bytes_.substr(0, trailer_at), index_offset, kTagIndex, &index_payload,
-      &index_end));
-  if (index_end != trailer_at) {
+  WICLEAN_RETURN_IF_ERROR(ReadSectionAt(bytes_.substr(0, trailer_at),
+                                        index_offset, kTagIndex,
+                                        &index_payload));
+  if (index_offset + kSectionHeaderSize + index_payload.size() != trailer_at) {
     return Status::DataLoss(
         "action log: stray bytes between the index and the trailer");
   }
@@ -141,8 +153,8 @@ Status ActionLogReader::DecodeBlock(size_t i, std::vector<Action>* out) const {
   }
   const BlockMeta& meta = index_.blocks[i];
   std::string_view payload;
-  WICLEAN_RETURN_IF_ERROR(ReadActionLogSection(bytes_, meta.offset, kTagBlock,
-                                               &payload, nullptr));
+  WICLEAN_RETURN_IF_ERROR(
+      ReadSectionAt(bytes_, meta.offset, kTagBlock, &payload));
   return DecodeBlockPayload(payload, index_.relations, &meta, out);
 }
 
@@ -159,12 +171,9 @@ Result<std::string_view> ActionLogReader::BlockRawBytes(size_t i) const {
   // Recompute the framed extent from the declared payload size, clamped to
   // the file — good enough for the quarantine channel even when the size
   // field itself is damaged.
+  ByteReader header(bytes_.substr(meta.offset + 4), "action log");
   uint64_t size = 0;
-  for (int b = 0; b < 8; ++b) {
-    size |= static_cast<uint64_t>(
-                static_cast<uint8_t>(bytes_[meta.offset + 4 + b]))
-            << (8 * b);
-  }
+  WICLEAN_RETURN_IF_ERROR(header.ReadU64(&size));
   const uint64_t max_span = bytes_.size() - meta.offset;
   const uint64_t span =
       std::min<uint64_t>(kSectionHeaderSize + size, max_span);

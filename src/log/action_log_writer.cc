@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "common/wire.h"
 #include "log/action_log_codec.h"
 
 namespace wiclean {
@@ -21,9 +22,7 @@ ActionLogWriter::ActionLogWriter(std::ostream* out,
     : out_(out), options_(options) {
   Timer timer;
   std::string header(kActionLogMagic, sizeof(kActionLogMagic));
-  for (int i = 0; i < 4; ++i) {
-    header.push_back(static_cast<char>((kActionLogVersion >> (8 * i)) & 0xff));
-  }
+  AppendU32(&header, kActionLogVersion);
   out_->write(header.data(), static_cast<std::streamsize>(header.size()));
   offset_ = header.size();
   if (!out_->good()) status_ = StreamWriteError(0);
@@ -56,7 +55,7 @@ Status ActionLogWriter::FlushBlock() {
   meta.offset = offset_;
   std::string section;
   section.reserve(kSectionHeaderSize + payload.size());
-  AppendActionLogSection(&section, kTagBlock, payload);
+  AppendSection(&section, kTagBlock, payload);
   out_->write(section.data(), static_cast<std::streamsize>(section.size()));
   if (!out_->good()) return StreamWriteError(offset_);
   offset_ += section.size();
@@ -81,10 +80,8 @@ Status ActionLogWriter::Finish() {
     const uint64_t index_offset = offset_;
     std::string tail;
     tail.reserve(kSectionHeaderSize + payload.size() + kActionLogTrailerSize);
-    AppendActionLogSection(&tail, kTagIndex, payload);
-    for (int i = 0; i < 8; ++i) {
-      tail.push_back(static_cast<char>((index_offset >> (8 * i)) & 0xff));
-    }
+    AppendSection(&tail, kTagIndex, payload);
+    AppendU64(&tail, index_offset);
     tail.append(kActionLogTrailerMagic, sizeof(kActionLogTrailerMagic));
     out_->write(tail.data(), static_cast<std::streamsize>(tail.size()));
     out_->flush();

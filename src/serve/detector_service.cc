@@ -126,18 +126,17 @@ void DetectorService::Quarantine(Tenant* t, QuarantineCause cause) {
 }
 
 FeedResult DetectorService::Feed(TenantId tenant, const Action& action) {
-  return FeedInternal(tenant, action, /*has_sequence=*/false, 0);
+  return FeedInternal(tenant, action, std::nullopt);
 }
 
 FeedResult DetectorService::Feed(TenantId tenant, const Action& action,
                                  uint64_t sequence) {
-  return FeedInternal(tenant, action, /*has_sequence=*/true, sequence);
+  return FeedInternal(tenant, action, sequence);
 }
 
 FeedResult DetectorService::FeedInternal(TenantId tenant,
                                          const Action& action,
-                                         bool has_sequence,
-                                         uint64_t sequence) {
+                                         std::optional<uint64_t> sequence) {
   std::shared_ptr<Tenant> t = FindTenant(tenant);
   if (t == nullptr) return FeedResult::kUnknownTenant;
   // feed_mu (held across the whole attempt) serializes this tenant's
@@ -154,11 +153,9 @@ FeedResult DetectorService::FeedInternal(TenantId tenant,
     // here; the tenant is then gone, not quarantined.
     if (t->session == nullptr) return FeedResult::kUnknownTenant;
     session = t->session.get();
+    if (!sequence.has_value()) sequence = t->events_fed;
   }
-  const FeedStatus status = has_sequence
-                                ? session->TryFeedWithSequence(action,
-                                                               sequence)
-                                : session->TryFeed(action);
+  const FeedStatus status = session->TryFeed(action, *sequence);
   MutexLock lock(&t->mu);
   switch (status) {
     case FeedStatus::kOk:

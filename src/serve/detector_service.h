@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,8 +146,9 @@ class DetectorService {
   [[nodiscard]] Result<TenantId> OpenSession(const ShardFaultPlan& fault)
       WC_EXCLUDES(mu_);
 
-  /// Feeds one event into the tenant's stream (canonical sequence = feed
-  /// order). kAborted from the session quarantines the tenant here.
+  /// Feeds one event into the tenant's stream; its canonical sequence is
+  /// the number of events the tenant accepted before it (feed order).
+  /// kAborted from the session quarantines the tenant here.
   FeedResult Feed(TenantId tenant, const Action& action) WC_EXCLUDES(mu_);
 
   /// Feed with an explicit canonical sequence rank — for streams whose
@@ -202,9 +204,11 @@ class DetectorService {
   };
 
   std::shared_ptr<Tenant> FindTenant(TenantId id) const WC_EXCLUDES(mu_);
+  /// Both Feeds; an empty `sequence` stands for the tenant's accepted-event
+  /// count, read under mu while feed_mu is held, so concurrent producers
+  /// get distinct ranks.
   FeedResult FeedInternal(TenantId tenant, const Action& action,
-                          bool has_sequence, uint64_t sequence)
-      WC_EXCLUDES(mu_);
+                          std::optional<uint64_t> sequence) WC_EXCLUDES(mu_);
   /// Marks the tenant quarantined and cancels its session. First caller
   /// wins; callers must have checked `!t->quarantined`.
   void Quarantine(Tenant* t, QuarantineCause cause) WC_REQUIRES(t->mu);

@@ -124,12 +124,7 @@ size_t DetectorSession::shard_backlog(size_t i) const {
   return shards_[i]->queue.size();
 }
 
-FeedStatus DetectorSession::TryFeed(const Action& action) {
-  return TryFeedWithSequence(action, events_fed_);
-}
-
-FeedStatus DetectorSession::TryFeedWithSequence(const Action& action,
-                                                uint64_t sequence) {
+FeedStatus DetectorSession::TryFeed(const Action& action, uint64_t sequence) {
   Timer timer;
   FeedStatus result = FeedStatus::kAborted;
   if (started_ && !drained_ && !aborting()) {
@@ -169,22 +164,6 @@ FeedStatus DetectorSession::TryFeedWithSequence(const Action& action,
   }
   feed_seconds_ += timer.ElapsedSeconds();
   return result;
-}
-
-bool DetectorSession::Feed(const Action& action) {
-  return FeedWithSequence(action, events_fed_);
-}
-
-bool DetectorSession::FeedWithSequence(const Action& action,
-                                       uint64_t sequence) {
-  Timer timer;
-  bool ok = true;
-  for (auto& shard : shards_) {
-    ok = shard->queue.Push(FeedItem{action, sequence}) && ok;
-  }
-  ++events_fed_;
-  feed_seconds_ += timer.ElapsedSeconds();
-  return ok;
 }
 
 Result<SessionReport> DetectorSession::Drain() {

@@ -54,7 +54,8 @@ struct DetectorSessionOptions {
   /// not data-parallel), so the alert set is identical at any thread count.
   size_t num_threads = 1;
   /// Per-shard feed queue capacity; a producer racing ahead of slow shards
-  /// blocks in Feed once a queue fills (backpressure, not unbounded memory).
+  /// blocks in TryFeed once a queue fills (backpressure, not unbounded
+  /// memory).
   size_t queue_capacity = 256;
   /// Admission deadline for TryFeed, in milliseconds: how long a feed may
   /// wait on a full quota before giving up with kOverloaded. <= 0 means
@@ -90,9 +91,9 @@ struct SessionReport {
 /// closes the queues, lets every worker consume its backlog, finalizes the
 /// remaining patterns, and merges per-shard alerts deterministically.
 ///
-/// Usage: Start(snapshot) → TryFeed/Feed(action)* → Drain(). A session that
-/// turned kAborted is instead Cancel()ed and its cause() inspected — that is
-/// the quarantine path DetectorService drives.
+/// Usage: Start(snapshot) → TryFeed(action, sequence)* → Drain(). A session
+/// that turned kAborted is instead Cancel()ed and its cause() inspected —
+/// that is the quarantine path DetectorService drives.
 ///
 /// Admission control: when feed_deadline_ms > 0, TryFeed applies the
 /// deadline at shard 0 only — the *admission gate*. All shards have equal
@@ -105,7 +106,7 @@ struct SessionReport {
 /// admission question — the service watchdog handles it via the consumed/
 /// backlog heartbeats below.
 ///
-/// Threading: one producer thread calls Feed*/Drain; workers run on the
+/// Threading: one producer thread calls TryFeed/Drain; workers run on the
 /// internal pool; Cancel and the heartbeat accessors are safe from any
 /// thread (that is what the service watchdog calls them on).
 class DetectorSession {
@@ -126,18 +127,11 @@ class DetectorSession {
   /// Start returns.
   [[nodiscard]] Status Start(const PatternSnapshot& snapshot);
 
-  /// Admission-controlled broadcast of one event, stamping its canonical
-  /// sequence number in feed order. Applies options_.feed_deadline_ms.
-  FeedStatus TryFeed(const Action& action);
-
-  /// TryFeed with an explicit canonical sequence rank — for out-of-order
-  /// streams whose canonical order (e.g. revision ids) is known.
-  FeedStatus TryFeedWithSequence(const Action& action, uint64_t sequence);
-
-  /// Blocking compatibility shim: Feed ignores the deadline and returns
-  /// false only when the session is aborting (Drain then reports the cause).
-  bool Feed(const Action& action);
-  bool FeedWithSequence(const Action& action, uint64_t sequence);
+  /// Admission-controlled broadcast of one event with its canonical
+  /// sequence rank (feed order for in-order streams; e.g. revision ids for
+  /// out-of-order ones). Applies options_.feed_deadline_ms: with a deadline
+  /// <= 0 it blocks until every shard accepts, and fails only with kAborted.
+  FeedStatus TryFeed(const Action& action, uint64_t sequence);
 
   /// Closes the stream, drains every shard, finalizes remaining patterns,
   /// and returns the merged report. Call exactly once, after Start. Fails
@@ -146,7 +140,7 @@ class DetectorSession {
 
   /// Aborts the session: cancels every shard queue (discarding backlogs,
   /// waking any parked or blocked worker) and joins the workers. Idempotent;
-  /// safe from any thread. After Cancel, Feed* returns kAborted and Drain
+  /// safe from any thread. After Cancel, TryFeed returns kAborted and Drain
   /// reports cause() (or Cancelled-as-Internal if no shard had failed).
   void Cancel();
 

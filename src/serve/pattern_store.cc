@@ -3,136 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "common/annotations.h"
-#include "common/hash.h"
+#include "common/wire.h"
 
 namespace wiclean {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Primitive little-endian encoding. All multi-byte values are composed byte
-// by byte — never memcpy'd into structs — so the format is host-endianness
-// independent and the reader can bounds-check every access.
-// ---------------------------------------------------------------------------
-
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  AppendU64(out, static_cast<uint64_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void AppendStr(std::string* out, std::string_view s) {
-  AppendU64(out, s.size());
-  out->append(s.data(), s.size());
-}
-
-/// Bounds-checked sequential reader over an immutable byte span. Every Read*
-/// returns a Status; once the underlying data is exhausted or malformed, the
-/// caller propagates the error and no further bytes are touched.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-  size_t position() const { return pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  [[nodiscard]] Status ReadU8(uint8_t* v) WC_UNTRUSTED {
-    if (remaining() < 1) return Truncated("u8");
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadU32(uint32_t* v) WC_UNTRUSTED {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadU64(uint64_t* v) WC_UNTRUSTED {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadI64(int64_t* v) WC_UNTRUSTED {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(ReadU64(&raw));
-    *v = static_cast<int64_t>(raw);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadF64(double* v) WC_UNTRUSTED {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(ReadU64(&raw));
-    *v = std::bit_cast<double>(raw);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadString(std::string* v) WC_UNTRUSTED {
-    uint64_t size = 0;
-    WICLEAN_RETURN_IF_ERROR(ReadU64(&size));
-    // The length is untrusted: check against what is actually present before
-    // allocating anything proportional to it.
-    if (size > remaining()) return Truncated("string payload");
-    v->assign(bytes_.data() + pos_, static_cast<size_t>(size));
-    pos_ += static_cast<size_t>(size);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadSpan(size_t size, std::string_view* v)
-      WC_UNTRUSTED WC_BORROWED_VIEW {
-    if (size > remaining()) return Truncated("section payload");
-    *v = bytes_.substr(pos_, size);
-    pos_ += size;
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::DataLoss(std::string("snapshot truncated reading ") + what);
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Container framing.
@@ -141,24 +21,17 @@ class ByteReader {
 constexpr char kMagic[4] = {'W', 'C', 'P', 'S'};
 constexpr uint32_t kTagProvenance = 0x564f5250;  // "PROV" little-endian
 constexpr uint32_t kTagPatterns = 0x53544150;    // "PATS"
-// A valid file has exactly these two sections; anything else is corruption
-// (the bound also stops a flipped section count from driving a long loop).
+// A valid file has exactly these two sections, provenance first; anything
+// else is corruption.
 constexpr uint32_t kExpectedSections = 2;
-
-void AppendSection(std::string* out, uint32_t tag, std::string_view payload) {
-  AppendU32(out, tag);
-  AppendU64(out, payload.size());
-  AppendU32(out, Crc32(payload));
-  out->append(payload.data(), payload.size());
-}
 
 // ---------------------------------------------------------------------------
 // Section payloads.
 // ---------------------------------------------------------------------------
 
 void EncodeProvenance(const SnapshotProvenance& p, std::string* out) {
-  AppendStr(out, p.corpus_id);
-  AppendStr(out, p.tool);
+  AppendString(out, p.corpus_id);
+  AppendString(out, p.tool);
   AppendI64(out, p.created_unix);
   AppendF64(out, p.frequency_threshold);
   AppendU32(out, static_cast<uint32_t>(p.max_abstraction_lift));
@@ -198,7 +71,7 @@ Status EncodePattern(const StoredPattern& sp, const TypeTaxonomy& taxonomy,
       return Status::InvalidArgument(
           "pattern references unknown type id " + std::to_string(t));
     }
-    AppendStr(out, taxonomy.Name(t));
+    AppendString(out, taxonomy.Name(t));
     AppendI64(out, p.var_binding(static_cast<int>(v)));
   }
   AppendU32(out, static_cast<uint32_t>(p.source_var()));
@@ -206,7 +79,7 @@ Status EncodePattern(const StoredPattern& sp, const TypeTaxonomy& taxonomy,
   for (const AbstractAction& a : p.actions()) {
     AppendU8(out, a.op == EditOp::kAdd ? 0 : 1);
     AppendU32(out, static_cast<uint32_t>(a.source_var));
-    AppendStr(out, a.relation);
+    AppendString(out, a.relation);
     AppendU32(out, static_cast<uint32_t>(a.target_var));
   }
   AppendI64(out, sp.window.begin);
@@ -350,7 +223,7 @@ Status EncodeSnapshot(const PatternSnapshot& snapshot,
 
 Result<PatternSnapshot> DecodeSnapshot(std::string_view bytes,
                                        const TypeTaxonomy& taxonomy) {
-  ByteReader reader(bytes);
+  ByteReader reader(bytes, "snapshot");
   std::string_view magic;
   WICLEAN_RETURN_IF_ERROR(reader.ReadSpan(sizeof(kMagic), &magic));
   if (magic != std::string_view(kMagic, sizeof(kMagic))) {
@@ -370,40 +243,18 @@ Result<PatternSnapshot> DecodeSnapshot(std::string_view bytes,
   }
 
   PatternSnapshot snapshot;
-  bool saw_provenance = false;
-  bool saw_patterns = false;
-  for (uint32_t s = 0; s < section_count; ++s) {
-    uint32_t tag = 0;
-    uint64_t size = 0;
-    uint32_t crc = 0;
-    WICLEAN_RETURN_IF_ERROR(reader.ReadU32(&tag));
-    WICLEAN_RETURN_IF_ERROR(reader.ReadU64(&size));
-    WICLEAN_RETURN_IF_ERROR(reader.ReadU32(&crc));
-    std::string_view payload;
-    WICLEAN_RETURN_IF_ERROR(
-        reader.ReadSpan(static_cast<size_t>(size), &payload));
-    if (Crc32(payload) != crc) {
-      return Status::DataLoss("snapshot: section checksum mismatch");
-    }
-    ByteReader section(payload);
-    if (tag == kTagProvenance && !saw_provenance) {
-      saw_provenance = true;
-      WICLEAN_RETURN_IF_ERROR(
-          DecodeProvenance(&section, &snapshot.provenance));
-      if (!section.AtEnd()) {
-        return Status::DataLoss("snapshot: trailing provenance bytes");
-      }
-    } else if (tag == kTagPatterns && !saw_patterns) {
-      saw_patterns = true;
-      WICLEAN_RETURN_IF_ERROR(
-          DecodePatterns(&section, taxonomy, &snapshot.patterns));
-    } else {
-      return Status::DataLoss("snapshot: unknown or duplicate section tag");
-    }
+  std::string_view payload;
+  WICLEAN_RETURN_IF_ERROR(reader.ReadSection(kTagProvenance, &payload));
+  ByteReader provenance(payload, "snapshot");
+  WICLEAN_RETURN_IF_ERROR(
+      DecodeProvenance(&provenance, &snapshot.provenance));
+  if (!provenance.AtEnd()) {
+    return Status::DataLoss("snapshot: trailing provenance bytes");
   }
-  if (!saw_provenance || !saw_patterns) {
-    return Status::DataLoss("snapshot: missing required section");
-  }
+  WICLEAN_RETURN_IF_ERROR(reader.ReadSection(kTagPatterns, &payload));
+  ByteReader patterns(payload, "snapshot");
+  WICLEAN_RETURN_IF_ERROR(
+      DecodePatterns(&patterns, taxonomy, &snapshot.patterns));
   if (!reader.AtEnd()) {
     return Status::DataLoss("snapshot: trailing bytes after last section");
   }

@@ -58,9 +58,10 @@ struct PatternSnapshot {
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 
 /// Serializes `snapshot` into the WCPS binary format: a fixed header (magic
-/// "WCPS", format version, section count) followed by tagged sections, each
-/// carrying its payload size and a CRC-32 of the payload. Encoding is
-/// deterministic — equal snapshots produce equal bytes, and
+/// "WCPS", format version, section count 2) followed by two framed sections
+/// (common/wire.h), provenance then patterns, each carrying its payload size
+/// and a CRC-32 of the payload. Encoding is deterministic — equal snapshots
+/// produce equal bytes, and
 /// Encode → Decode → Encode is byte-identical. Variable types are stored by
 /// taxonomy *name* so a snapshot is robust to type-id renumbering; fails if a
 /// pattern references a type id unknown to `taxonomy`.
@@ -73,7 +74,7 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 /// over-long counts, unknown type names, structurally invalid patterns —
 /// returns a non-OK Status; this function must never crash or read out of
 /// bounds (fuzzed in tests/snapshot_fuzz_test.cc under ASan/UBSan). All
-/// multi-byte reads go through bounds-checked byte composition; there is no
+/// reads go through common/wire.h's bounds-checked ByteReader; there is no
 /// memcpy-into-struct anywhere (enforced by the raw-memcpy lint rule).
 [[nodiscard]] Result<PatternSnapshot> DecodeSnapshot(
     std::string_view bytes, const TypeTaxonomy& taxonomy);

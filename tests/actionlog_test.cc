@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/wire.h"
 #include "dump/ingest.h"
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
@@ -150,6 +151,35 @@ TEST(ActionLogRoundTripTest, PageBatchesAreNeverSplitAcrossBlocks) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ASSERT_EQ(reader->num_blocks(), 1u);
   EXPECT_EQ(reader->block(0).action_count, 6u);
+}
+
+TEST(ActionLogRoundTripTest, EncodedBytesArePinned) {
+  // Golden digest of the WCAL bytes for a fixed action list: three blocks,
+  // a dictionary that grows in the first and last, an ops bitset longer
+  // than one byte, negative and multi-byte varint deltas. Recorded when the
+  // format was last changed on purpose.
+  std::vector<std::vector<Action>> batches = {
+      {MakeAction(EditOp::kAdd, 40, "current_club", 7, 1000),
+       MakeAction(EditOp::kRemove, 40, "current_club", 5, 1000),
+       MakeAction(EditOp::kAdd, 12, "manager", -3, 900)},
+      {MakeAction(EditOp::kAdd, 300000, "current_club", 1, 70000),
+       MakeAction(EditOp::kAdd, 300000, "manager", 2, 70001)},
+      {MakeAction(EditOp::kRemove, 5, "spouse", 6, 20),
+       MakeAction(EditOp::kAdd, 5, "spouse", 7, 21),
+       MakeAction(EditOp::kRemove, 6, "current_club", 8, 22),
+       MakeAction(EditOp::kAdd, 6, "birth_place", 9, 23),
+       MakeAction(EditOp::kRemove, 7, "birth_place", 10, 24),
+       MakeAction(EditOp::kAdd, 8, "spouse", 11, 25),
+       MakeAction(EditOp::kAdd, 9, "manager", 12, 26),
+       MakeAction(EditOp::kRemove, 10, "team", 1LL << 40, -5),
+       MakeAction(EditOp::kAdd, 4, "team", 0, -6)},
+  };
+  std::string bytes = WriteLog(batches, /*target_block_actions=*/2);
+  Result<ActionLogReader> reader = ActionLogReader::FromBytes(bytes);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->num_blocks(), 3u);
+  EXPECT_EQ(bytes.size(), 447u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x5886cca9824c11c4ULL);
 }
 
 TEST(ActionLogReaderTest, OpenFileMmapsAndDecodes) {

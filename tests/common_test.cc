@@ -2,7 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "common/thread_pool.h"
+#include "common/wire.h"
 
 namespace wiclean {
 namespace {
@@ -120,6 +126,199 @@ TEST(StringsTest, ReplaceAll) {
 TEST(StringsTest, HashIsStable) {
   EXPECT_EQ(Fnv1a64("wiclean"), Fnv1a64("wiclean"));
   EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
+}
+
+// ---------- Wire codec ----------
+
+TEST(WireTest, FixedWidthIsLittleEndian) {
+  std::string out;
+  AppendU8(&out, 0x7f);
+  AppendU32(&out, 0x01020304u);
+  AppendU64(&out, 0x0102030405060708ULL);
+  EXPECT_EQ(out, std::string("\x7f\x04\x03\x02\x01"
+                             "\x08\x07\x06\x05\x04\x03\x02\x01",
+                             13));
+}
+
+/// One primitive: how to write a sample value, and how to read it back and
+/// check it.
+struct WirePrimitive {
+  const char* name;
+  std::function<void(std::string*)> write;
+  std::function<Status(ByteReader*)> read_and_check;
+};
+
+std::vector<WirePrimitive> WirePrimitives() {
+  auto expect = [](bool ok) {
+    return ok ? Status::OK() : Status::Internal("decoded a different value");
+  };
+  return {
+      {"u8", [](std::string* o) { AppendU8(o, 0xab); },
+       [expect](ByteReader* r) {
+         uint8_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadU8(&v));
+         return expect(v == 0xab);
+       }},
+      {"u32", [](std::string* o) { AppendU32(o, 0xdeadbeefu); },
+       [expect](ByteReader* r) {
+         uint32_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadU32(&v));
+         return expect(v == 0xdeadbeefu);
+       }},
+      {"u64", [](std::string* o) { AppendU64(o, 0x0123456789abcdefULL); },
+       [expect](ByteReader* r) {
+         uint64_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadU64(&v));
+         return expect(v == 0x0123456789abcdefULL);
+       }},
+      {"i64", [](std::string* o) { AppendI64(o, -42); },
+       [expect](ByteReader* r) {
+         int64_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadI64(&v));
+         return expect(v == -42);
+       }},
+      {"f64", [](std::string* o) { AppendF64(o, -0.875); },
+       [expect](ByteReader* r) {
+         double v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadF64(&v));
+         return expect(v == -0.875);
+       }},
+      {"varint", [](std::string* o) {
+         AppendVarint(o, std::numeric_limits<uint64_t>::max());
+       },
+       [expect](ByteReader* r) {
+         uint64_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadVarint(&v));
+         return expect(v == std::numeric_limits<uint64_t>::max());
+       }},
+      {"zigzag varint", [](std::string* o) {
+         AppendVarint(o, ZigZagEncode(-300));
+       },
+       [expect](ByteReader* r) {
+         uint64_t v = 0;
+         WICLEAN_RETURN_IF_ERROR(r->ReadVarint(&v));
+         return expect(ZigZagDecode(v) == -300);
+       }},
+      {"string", [](std::string* o) { AppendString(o, "current_club"); },
+       [expect](ByteReader* r) {
+         std::string v;
+         WICLEAN_RETURN_IF_ERROR(r->ReadString(&v));
+         return expect(v == "current_club");
+       }},
+      {"varint string", [](std::string* o) {
+         AppendVarintString(o, "squad");
+       },
+       [expect](ByteReader* r) {
+         std::string v;
+         WICLEAN_RETURN_IF_ERROR(r->ReadVarintString(&v));
+         return expect(v == "squad");
+       }},
+      {"span", [](std::string* o) { o->append("abc"); },
+       [expect](ByteReader* r) {
+         std::string_view v;
+         WICLEAN_RETURN_IF_ERROR(r->ReadSpan(3, &v));
+         return expect(v == "abc");
+       }},
+      {"section", [](std::string* o) { AppendSection(o, 7, "payload"); },
+       [expect](ByteReader* r) {
+         std::string_view v;
+         WICLEAN_RETURN_IF_ERROR(r->ReadSection(7, &v));
+         return expect(v == "payload");
+       }},
+  };
+}
+
+TEST(WireTest, EveryReadRoundTripsAndFailsOnEveryTruncatedPrefix) {
+  for (const WirePrimitive& p : WirePrimitives()) {
+    std::string bytes;
+    p.write(&bytes);
+    ByteReader whole(bytes, "test");
+    Status status = p.read_and_check(&whole);
+    EXPECT_TRUE(status.ok()) << p.name << ": " << status.ToString();
+    EXPECT_TRUE(whole.AtEnd()) << p.name;
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      ByteReader prefix(std::string_view(bytes).substr(0, len), "test");
+      status = p.read_and_check(&prefix);
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << p.name << " truncated to " << len << " bytes: "
+          << status.ToString();
+    }
+  }
+}
+
+TEST(WireTest, NonCanonicalAndOverlongVarintsRejected) {
+  uint64_t v = 0;
+  ByteReader padded(std::string_view("\x80\x00", 2), "action log");
+  Status status = padded.ReadVarint(&v);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "action log: non-canonical varint");
+
+  // Ten continuation bytes then a terminator: 11 bytes, beyond any u64.
+  const std::string eleven = std::string(10, '\x80') + '\x01';
+  ByteReader overlong(eleven, "action log");
+  EXPECT_EQ(overlong.ReadVarint(&v).code(), StatusCode::kDataLoss);
+}
+
+TEST(WireTest, StringLengthPastTheEndRejectedBeforeAllocating) {
+  // A length of ~2^64 would throw (or exhaust memory) if it reached
+  // std::string; the reader must refuse it from the bytes present.
+  std::string u64_length;
+  AppendU64(&u64_length, std::numeric_limits<uint64_t>::max());
+  u64_length += "abc";
+  std::string v;
+  ByteReader r1(u64_length, "snapshot");
+  Status status = r1.ReadString(&v);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "snapshot truncated reading string payload");
+  EXPECT_TRUE(v.empty());
+
+  std::string varint_length;
+  AppendVarint(&varint_length, std::numeric_limits<uint64_t>::max());
+  varint_length += "abc";
+  ByteReader r2(varint_length, "action log");
+  EXPECT_EQ(r2.ReadVarintString(&v).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(v.empty());
+
+  // One byte short is also refused.
+  std::string short_by_one;
+  AppendVarintString(&short_by_one, "abcd");
+  short_by_one.pop_back();
+  ByteReader r3(short_by_one, "action log");
+  EXPECT_EQ(r3.ReadVarintString(&v).code(), StatusCode::kDataLoss);
+}
+
+TEST(WireTest, ReadSectionChecksTagSizeAndCrc) {
+  std::string section;
+  AppendSection(&section, 0x4b4f4c42, "block payload");
+  ASSERT_EQ(section.size(), kSectionHeaderSize + 13);
+  std::string_view payload;
+
+  ByteReader good(section, "action log");
+  ASSERT_TRUE(good.ReadSection(0x4b4f4c42, &payload).ok());
+  EXPECT_EQ(payload, "block payload");
+  EXPECT_TRUE(good.AtEnd());
+
+  ByteReader wrong_tag(section, "action log");
+  Status status = wrong_tag.ReadSection(0x58444e49, &payload);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(),
+            "action log: unexpected section tag " +
+                std::to_string(0x4b4f4c42));
+
+  // Declared size one byte more than the payload present.
+  std::string overrun = section;
+  overrun[4] = static_cast<char>(overrun[4] + 1);
+  ByteReader overrun_reader(overrun, "action log");
+  status = overrun_reader.ReadSection(0x4b4f4c42, &payload);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "action log: section overruns the file");
+
+  std::string flipped = section;
+  flipped.back() = static_cast<char>(flipped.back() ^ 1);
+  ByteReader crc_reader(flipped, "action log");
+  status = crc_reader.ReadSection(0x4b4f4c42, &payload);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "action log: section CRC mismatch");
 }
 
 // ---------- Rng ----------

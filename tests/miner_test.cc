@@ -391,6 +391,36 @@ TEST_F(MinerTest, ReusedContextCountsOnlyNewlyIngestedEntities) {
   EXPECT_EQ(third->stats.actions_ingested, 0u);
 }
 
+TEST_F(MinerTest, ReusedContextCountsOnlyNewlyFrequentPatterns) {
+  // frequent_patterns and abstract_actions are per call too: a window search
+  // accumulates every round's stats, so a resumed context must not count
+  // the patterns and index entries of its earlier calls again.
+  PatternMiner high(registry_.get(), &store_, Options(0.9));
+  Result<MineWindowResult> first = high.MineWindow(player_, window_);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->stats.frequent_patterns, first->all_frequent.size());
+  const size_t first_entries = first->context->index.entries().size();
+  EXPECT_EQ(first->stats.abstract_actions, first_entries);
+  std::set<std::string> first_keys;
+  for (const MinedPattern& mp : first->all_frequent) {
+    first_keys.insert(mp.pattern.CanonicalKey());
+  }
+  ASSERT_FALSE(first_keys.empty());
+
+  PatternMiner low(registry_.get(), &store_, Options(0.7));
+  Result<MineWindowResult> second =
+      low.MineWindow(player_, window_, first->context);
+  ASSERT_TRUE(second.ok());
+  size_t newly_frequent = 0;
+  for (const MinedPattern& mp : second->all_frequent) {
+    if (first_keys.count(mp.pattern.CanonicalKey()) == 0) ++newly_frequent;
+  }
+  ASSERT_GT(newly_frequent, 0u);  // the pair pattern (frequency 0.8)
+  EXPECT_EQ(second->stats.frequent_patterns, newly_frequent);
+  EXPECT_EQ(second->stats.abstract_actions,
+            second->context->index.entries().size() - first_entries);
+}
+
 TEST_F(MinerTest, ValueSpecificPatternsFindDominantClub) {
   // C0 hosts half of the joins (P0, P1): at min_value_share 0.5 the club
   // variable specializes to C0; at 0.6 nothing qualifies.

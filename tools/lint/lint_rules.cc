@@ -253,17 +253,6 @@ std::vector<LintFinding> LintFile(const std::string& path,
   }
 
   // --- per-line token rules ----------------------------------------------
-  // The two binary-wire codecs (the pattern snapshot and the WCAL action
-  // log) are the only modules allowed to touch raw wire bytes; everything
-  // else must go through their bounds-checked helpers.
-  auto path_ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           std::string_view(path).substr(path.size() - suffix.size()) ==
-               suffix;
-  };
-  const bool memcpy_exempt = path_ends_with("serve/pattern_store.cc") ||
-                             path_ends_with("log/action_log_codec.cc");
-
   // Sliding window of recent stripped lines for the unchecked-value rule.
   constexpr size_t kValueCheckWindow = 6;  // current line + 5 above
   std::deque<std::string> recent;
@@ -285,16 +274,15 @@ std::vector<LintFinding> LintFile(const std::string& path,
       }
     }
 
-    // raw-memcpy: applies everywhere (tests included) except the designated
-    // deserialization module — memcpy-into-struct parsing must not spread.
-    if (!memcpy_exempt) {
+    // raw-memcpy: applies everywhere, tests and the wire codecs included —
+    // binary data is read through common/wire.h's ByteReader.
+    {
       size_t pos = 0;
       if (FindWord(stripped, "memcpy", &pos) &&
           stripped.size() > pos + 6 && stripped[pos + 6] == '(') {
         report(line_number, "raw-memcpy",
-               "memcpy() is banned outside serve/pattern_store.cc and "
-               "log/action_log_codec.cc: deserialize through the "
-               "bounds-checked reader helpers, not byte blits into structs");
+               "memcpy() is banned: deserialize through the bounds-checked "
+               "ByteReader in common/wire.h, not byte blits into structs");
       }
     }
 

@@ -27,12 +27,10 @@ namespace lint {
 ///                     ok() check in the preceding lines (use
 ///                     WICLEAN_ASSIGN_OR_RETURN / WICLEAN_CHECK_OK, or keep
 ///                     the check adjacent)
-///   raw-memcpy        memcpy() calls — blitting wire bytes into structs
-///                     skips bounds and validity checks, so binary
-///                     deserialization is confined to the bounds-checked
-///                     readers in src/serve/pattern_store.cc (exempt);
-///                     everywhere else use those helpers or field-by-field
-///                     byte composition
+///   raw-memcpy        memcpy() calls, in every file — blitting wire bytes
+///                     into structs skips bounds and validity checks, so
+///                     binary data is read through the bounds-checked
+///                     ByteReader in src/common/wire.h
 ///   dead-suppression  a lint:allow comment on a line that no longer
 ///                     triggers the named rule (including typo'd rule
 ///                     names): the code it excused was rewritten, so the

@@ -169,20 +169,16 @@ TEST(LintFileTest, ValueInTestsUnrestricted) {
       LintFile("tests/a_test.cc", "Use(r.value());\n", true).empty());
 }
 
-TEST(LintFileTest, RawMemcpyFlaggedEverywhereButTheCodecs) {
+TEST(LintFileTest, RawMemcpyFlaggedEverywhere) {
   const std::string content = "std::memcpy(&header, bytes, sizeof(header));\n";
   EXPECT_TRUE(HasRule(LintFile("src/a.cc", content, false), "raw-memcpy"));
   // Tests are not exempt: parsing via byte blits is wrong there too.
   EXPECT_TRUE(
       HasRule(LintFile("tests/a_test.cc", content, true), "raw-memcpy"));
-  // The two designated wire codecs are exempt.
-  EXPECT_TRUE(
-      LintFile("src/serve/pattern_store.cc", content, false).empty());
-  EXPECT_TRUE(
-      LintFile("src/log/action_log_codec.cc", content, false).empty());
-  // The exemption keys on the full module path, not the basename.
-  EXPECT_TRUE(HasRule(LintFile("src/other/action_log_codec2.cc", content,
-                               false),
+  // Nor are the wire codecs: they read through common/wire.h's ByteReader.
+  EXPECT_TRUE(HasRule(LintFile("src/serve/pattern_store.cc", content, false),
+                      "raw-memcpy"));
+  EXPECT_TRUE(HasRule(LintFile("src/log/action_log_codec.cc", content, false),
                       "raw-memcpy"));
 }
 
@@ -303,18 +299,6 @@ TEST(LintFixtureTest, BadFixturesEachTripTheirRule) {
     ASSERT_FALSE(f.empty()) << c.file;
     EXPECT_TRUE(HasRule(f, c.rule)) << c.file << " should trip " << c.rule;
   }
-}
-
-TEST(LintFixtureTest, MemcpyFixtureExemptOnlyUnderCodecPaths) {
-  const std::string content = ReadFixture("exempt_memcpy_codec.cc");
-  // The same bytes are clean under the codec paths...
-  EXPECT_TRUE(
-      LintFile("src/serve/pattern_store.cc", content, false).empty());
-  EXPECT_TRUE(
-      LintFile("src/log/action_log_codec.cc", content, false).empty());
-  // ...and a finding anywhere else.
-  EXPECT_TRUE(HasRule(LintFile("src/log/replay.cc", content, false),
-                      "raw-memcpy"));
 }
 
 }  // namespace
